@@ -12,12 +12,35 @@ the resulting part-0 weight stays inside the balance window widened by
 one maximum vertex weight (single moves must stay possible on coarse
 levels where vertices are heavy), or when it strictly reduces the
 balance violation; moves that would empty a part are never admissible.
+
+Eligible vertices sit in per-side gain buckets (gain -> set of vertices
+of that part), and each side keeps a max-heap of its gains with lazy
+deletion: an entry whose bucket has emptied is popped when it surfaces.
+Selection takes each side's best admissible move, the maximum gain and
+then the lowest vertex id, and compares the two sides by gain, then by
+which part sits further below its target, then by vertex id.
+
+Within one selection, admissibility depends only on the source side and
+the vertex weight, and it is monotone in the weight: if a vertex of
+weight w may leave side a, so may every lighter vertex of side a. The
+accepted part-0 weights are the union of the widened window and the
+set where the violation is lower than now. The violation is
+quasi-convex, so that set is an interval, and both intervals contain
+[lower, upper], so the union is one interval. Between an accepted
+part-0 weight and the current one, that interval misses at most the
+last unit before the current weight, and vertex weights are positive
+integers, so every lighter move lands inside it. Hence a side whose lightest possible vertex is blocked
+is skipped at once, a side whose heaviest vertex may move takes the
+lowest id of its top bucket, and only in between are buckets walked
+downward, with admissibility memoised per weight. The argument needs a
+nonempty window, which :func:`fm_pass` checks.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .coarsen import LevelLink
 from .model import BalanceWindow, Hypergraph, Partition
@@ -39,195 +62,239 @@ def project(p_coarse: Partition, link: LevelLink) -> Partition:
     return Partition.from_assignment(link.fine, p_coarse.k, assignment)
 
 
+def _recount(h: Hypergraph, assignment: List[int]) -> Tuple[List[int], List[int], int]:
+    """Part-0 pin count of every hyperedge, FM gain of every vertex and
+    the cut cost of a bipartition, from scratch.
+
+    The gain of a vertex is the cost drop of moving it alone to the other
+    part: an incident hyperedge adds its weight when the other part
+    already holds a pin of it, and subtracts it when the vertex's own
+    part keeps another pin of it.
+    """
+    count0: List[int] = []
+    gains = [0] * h.num_vertices
+    cost = 0
+    side_of = assignment.__getitem__
+    for pins, w in zip(h.pins_by_hyperedge, h.hyperedge_weight):
+        sides = list(map(side_of, pins))
+        c1 = sum(sides)
+        c0 = len(pins) - c1
+        count0.append(c0)
+        g0 = w * ((c1 > 0) - (c0 > 1))
+        g1 = w * ((c0 > 0) - (c1 > 1))
+        if c0 and c1:
+            cost += w
+            for v, s in zip(pins, sides):
+                gains[v] += g1 if s else g0
+        else:
+            g = g1 if c1 else g0
+            for v in pins:
+                gains[v] += g
+    return count0, gains, cost
+
+
+class FmAuditError(RuntimeError):
+    """The incremental FM state disagrees with a from-scratch recount."""
+
+
 class _FmState:
-    """Bookkeeping for one FM pass: pin counts, gains, buckets, locks."""
+    """Bookkeeping for one FM pass: pin counts, gains, buckets, locks.
+
+    ``buckets[a]`` maps a gain to the set of unlocked eligible vertices of
+    part ``a`` with that gain; ``heaps[a]`` is a max-heap (negated) of the
+    gains of side ``a``. Heap entries are deleted lazily: an entry whose
+    bucket is gone is popped when it reaches the top, and a gain may sit
+    in the heap more than once.
+    """
 
     def __init__(self, h: Hypergraph, p: Partition, window: BalanceWindow,
                  boundary_only: bool):
         self.h = h
         self.p = p
         self.window = window
+        self.boundary_only = boundary_only
         assignment = p.assignment
         n = h.num_vertices
 
-        count0: List[int] = []
-        cost = 0
-        for e, pins in enumerate(h.pins_by_hyperedge):
-            c0 = sum(1 for v in pins if assignment[v] == 0)
-            count0.append(c0)
-            if 0 < c0 < len(pins):
-                cost += h.hyperedge_weight[e]
+        count0, gains, self.cost = _recount(h, assignment)
         self.count0 = count0
-        self.cost = cost
-
-        gains = [0] * n
-        for e, pins in enumerate(h.pins_by_hyperedge):
-            w = h.hyperedge_weight[e]
-            c0 = count0[e]
-            c1 = len(pins) - c0
-            for v in pins:
-                if assignment[v] == 0:
-                    gains[v] += w * ((1 if c1 > 0 else 0) - (1 if c0 > 1 else 0))
-                else:
-                    gains[v] += w * ((1 if c0 > 0 else 0) - (1 if c1 > 1 else 0))
         self.gains = gains
 
         self.locked = [False] * n
-        self.in_struct = [False] * n
-        # Buckets are keyed (gain, source part) so selection can take the
-        # lowest-id candidate of a bucket with one C-level min() call.
-        self.buckets: dict[Tuple[int, int], set] = {}
         if boundary_only:
-            active = set()
+            in_struct = [False] * n
             for e, pins in enumerate(h.pins_by_hyperedge):
                 if 0 < count0[e] < len(pins):
-                    active.update(pins)
-            eligible = sorted(active)
+                    for v in pins:
+                        in_struct[v] = True
         else:
-            eligible = range(n)
-        for v in eligible:
-            self._bucket_add(v)
+            in_struct = [True] * n
+        self.in_struct = in_struct
+        buckets: List[Dict[int, Set[int]]] = [{}, {}]
+        for v in range(n):
+            if in_struct[v]:
+                buckets[assignment[v]].setdefault(gains[v], set()).add(v)
+        self.buckets = buckets
+        self.heaps = [[-g for g in side] for side in buckets]
+        for heap in self.heaps:
+            heapq.heapify(heap)
 
         sizes = [0, 0]
         for part in assignment:
             sizes[part] += 1
         self.part_size = sizes
 
-        wmax = h.max_vertex_weight()
-        self.lo_soft = min(window.lower, window.target - wmax)
-        self.hi_soft = max(window.upper, window.target + wmax)
+        self.wmin = min(h.vertex_weight, default=1)
+        self.wmax = h.max_vertex_weight()
+        self.lo_soft = min(window.lower, window.target - self.wmax)
+        self.hi_soft = max(window.upper, window.target + self.wmax)
 
-    def _bucket_add(self, v: int) -> None:
-        if self.in_struct[v] or self.locked[v]:
-            return
-        self.in_struct[v] = True
-        key = (self.gains[v], self.p.assignment[v])
-        self.buckets.setdefault(key, set()).add(v)
-
-    def _bucket_remove(self, v: int) -> None:
-        if not self.in_struct[v]:
-            return
-        self.in_struct[v] = False
-        key = (self.gains[v], self.p.assignment[v])
-        bucket = self.buckets.get(key)
-        if bucket is not None:
-            bucket.discard(v)
-            if not bucket:
-                del self.buckets[key]
-
-    def _adjust_gain(self, v: int, delta: int) -> None:
-        if self.locked[v]:
-            return
-        if self.in_struct[v]:
-            old_key = (self.gains[v], self.p.assignment[v])
-            bucket = self.buckets[old_key]
-            bucket.discard(v)
-            if not bucket:
-                del self.buckets[old_key]
-            self.gains[v] += delta
-            new_key = (self.gains[v], self.p.assignment[v])
-            self.buckets.setdefault(new_key, set()).add(v)
-        else:
-            self.gains[v] += delta
-
-    def admissible(self, v: int) -> bool:
-        a = self.p.assignment[v]
-        if self.part_size[a] <= 1:
+    def admissible(self, side: int, weight: int) -> bool:
+        """Whether a vertex of ``weight`` may move off ``side`` now."""
+        if self.part_size[side] <= 1:
             return False
-        w = self.h.vertex_weight[v]
         w0 = self.p.part_weight[0]
-        w0_after = w0 - w if a == 0 else w0 + w
+        w0_after = w0 - weight if side == 0 else w0 + weight
         if self.lo_soft - 1e-9 <= w0_after <= self.hi_soft + 1e-9:
             return True
         return self.window.violation(w0_after) < self.window.violation(w0) - 1e-12
 
-    def _bucket_candidate(self, key: Tuple[int, int]) -> Optional[int]:
-        """Lowest-id admissible vertex of one bucket.
-
-        The min() fast path covers the common case; the scan only runs
-        when the minimum itself is blocked, which happens on coarse
-        levels where vertex weights differ."""
-        bucket = self.buckets.get(key)
-        if not bucket:
+    def _side_best(self, a: int) -> Optional[Tuple[int, int]]:
+        """``(gain, vertex)`` of the best admissible move off side ``a``:
+        the maximum gain, then the lowest vertex id."""
+        side = self.buckets[a]
+        if not side:
             return None
-        v = min(bucket)
-        if self.admissible(v):
-            return v
-        best = None
-        for u in bucket:
-            if (best is None or u < best) and u != v and self.admissible(u):
-                best = u
-        return best
+        if self.admissible(a, self.wmax):
+            # Every vertex of this side may move: take the top bucket.
+            heap = self.heaps[a]
+            while -heap[0] not in side:
+                heapq.heappop(heap)
+            top = -heap[0]
+            return top, min(side[top])
+        if self.wmin == self.wmax or not self.admissible(a, self.wmin):
+            # Admissibility is monotone in the weight, so no vertex of
+            # this side may move.
+            return None
+        weight = self.h.vertex_weight
+        memo: Dict[int, bool] = {}
+        for gain in sorted(side, reverse=True):
+            best = None
+            for u in side[gain]:
+                if best is None or u < best:
+                    ok = memo.get(weight[u])
+                    if ok is None:
+                        ok = memo[weight[u]] = self.admissible(a, weight[u])
+                    if ok:
+                        best = u
+            if best is not None:
+                return gain, best
+        return None
 
     def select(self) -> Optional[int]:
         """Max-gain admissible vertex; ties prefer the move into the part
         that sits further below its target, then the lower vertex id."""
+        best0 = self._side_best(0)   # would move into part 1
+        best1 = self._side_best(1)   # would move into part 0
+        if best0 is None or best1 is None:
+            best = best0 or best1
+            return None if best is None else best[1]
+        if best0[0] != best1[0]:
+            return best0[1] if best0[0] > best1[0] else best1[1]
         total = self.h.total_vertex_weight
         deficits = (self.window.target - self.p.part_weight[0],
                     (total - self.window.target) - self.p.part_weight[1])
-        gains_desc = sorted({gain for gain, _ in self.buckets}, reverse=True)
-        for gain in gains_desc:
-            cand0 = self._bucket_candidate((gain, 0))   # would move into part 1
-            cand1 = self._bucket_candidate((gain, 1))   # would move into part 0
-            if cand0 is None and cand1 is None:
-                continue
-            if cand1 is None:
-                return cand0
-            if cand0 is None:
-                return cand1
-            key0 = (0 if deficits[1] >= deficits[0] else 1, cand0)
-            key1 = (0 if deficits[0] >= deficits[1] else 1, cand1)
-            return cand0 if key0 <= key1 else cand1
-        return None
+        key0 = (0 if deficits[1] >= deficits[0] else 1, best0[1])
+        key1 = (0 if deficits[0] >= deficits[1] else 1, best1[1])
+        return best0[1] if key0 <= key1 else best1[1]
 
     def apply_move(self, v: int) -> None:
         h = self.h
         p = self.p
         assignment = p.assignment
+        gains = self.gains
+        locked = self.locked
+        in_struct = self.in_struct
+        buckets = self.buckets
+        heaps = self.heaps
+        count0 = self.count0
+        pins_by_hyperedge = h.pins_by_hyperedge
+        hyperedge_weight = h.hyperedge_weight
+        heappush = heapq.heappush
+        cost = self.cost
         a = assignment[v]
         b = 1 - a
-        # Unhook v first: bucket keys carry the source part, which is
-        # about to change, and a locked vertex takes no gain updates.
-        self._bucket_remove(v)
-        self.locked[v] = True
+        # Unhook v first: it leaves side a, and a locked vertex takes no
+        # gain updates.
+        if in_struct[v]:
+            in_struct[v] = False
+            side = buckets[a]
+            bucket = side[gains[v]]
+            bucket.remove(v)
+            if not bucket:
+                del side[gains[v]]
+        locked[v] = True
         for e in h.pins_by_vertex[v]:
-            pins = h.pins_by_hyperedge[e]
-            w = h.hyperedge_weight[e]
+            pins = pins_by_hyperedge[e]
+            w = hyperedge_weight[e]
             size = len(pins)
-            c0 = self.count0[e]
-            c_from = c0 if a == 0 else size - c0
+            c0 = count0[e]
+            if a == 0:
+                c_from = c0
+                count0[e] = c0 - 1
+            else:
+                c_from = size - c0
+                count0[e] = c0 + 1
             c_to = size - c_from
-            was_cut = c_to > 0
-            # Standard FM gain updates around the move of v (still in a).
+            # With (c_from, c_to) the pin counts of e on sides a and b
+            # before the move, a pin left on side a gains
+            # w * ([c_to == 0] + [c_from == 2]) and a pin on side b gains
+            # -w * ([c_from == 1] + [c_to == 1]). Only such critical nets
+            # change any gain.
             if c_to == 0:
-                for u in pins:
-                    if u != v:
-                        self._adjust_gain(u, w)
-            elif c_to == 1:
-                for u in pins:
-                    if u != v and assignment[u] == b:
-                        self._adjust_gain(u, -w)
-                        break
-            self.count0[e] = c0 - 1 if a == 0 else c0 + 1
-            c_from -= 1
-            c_to += 1
-            now_cut = c_from > 0
-            if now_cut != was_cut:
-                self.cost += w if now_cut else -w
-            if now_cut and not was_cut:
-                # Edge entered the boundary: make its pins eligible.
-                for u in pins:
-                    if u != v:
-                        self._bucket_add(u)
-            if c_from == 0:
-                for u in pins:
-                    if u != v:
-                        self._adjust_gain(u, -w)
-            elif c_from == 1:
-                for u in pins:
-                    if u != v and assignment[u] == a:
-                        self._adjust_gain(u, w)
-                        break
+                if c_from == 1:
+                    continue
+                # e enters the cut, so its pins become eligible.
+                cost += w
+                enters = True
+                delta_a = 2 * w if c_from == 2 else w
+                delta_b = 0
+            else:
+                if c_from == 1:
+                    cost -= w
+                enters = False
+                delta_a = w if c_from == 2 else 0
+                delta_b = -w * ((c_from == 1) + (c_to == 1))
+                if not delta_a and not delta_b:
+                    continue
+            for u in pins:
+                if locked[u]:
+                    continue
+                s = assignment[u]
+                delta = delta_a if s == a else delta_b
+                if not delta:
+                    continue
+                g = gains[u]
+                ng = g + delta
+                gains[u] = ng
+                if in_struct[u]:
+                    side = buckets[s]
+                    bucket = side[g]
+                    bucket.remove(u)
+                    if not bucket:
+                        del side[g]
+                elif enters:
+                    in_struct[u] = True
+                    side = buckets[s]
+                else:
+                    continue
+                bucket = side.get(ng)
+                if bucket is None:
+                    side[ng] = {u}
+                    heappush(heaps[s], -ng)
+                else:
+                    bucket.add(u)
+        self.cost = cost
         weight = h.vertex_weight[v]
         assignment[v] = b
         p.part_weight[a] -= weight
@@ -235,21 +302,44 @@ class _FmState:
         self.part_size[a] -= 1
         self.part_size[b] += 1
 
-    def recompute_gains(self) -> List[int]:
-        """From-scratch gains for the current assignment (audit support)."""
+    def audit(self) -> None:
+        """Recount pin counts, cost and gains from scratch and check the
+        bucket and heap invariants; raise :class:`FmAuditError` on any
+        disagreement."""
         h = self.h
         assignment = self.p.assignment
-        gains = [0] * h.num_vertices
-        for e, pins in enumerate(h.pins_by_hyperedge):
-            w = h.hyperedge_weight[e]
-            c0 = sum(1 for v in pins if assignment[v] == 0)
-            c1 = len(pins) - c0
-            for v in pins:
-                if assignment[v] == 0:
-                    gains[v] += w * ((1 if c1 > 0 else 0) - (1 if c0 > 1 else 0))
-                else:
-                    gains[v] += w * ((1 if c0 > 0 else 0) - (1 if c1 > 1 else 0))
-        return gains
+        count0, fresh, cost = _recount(h, assignment)
+        if count0 != self.count0:
+            raise FmAuditError("incremental pin count drift")
+        if cost != self.cost:
+            raise FmAuditError(f"incremental cost drift: {self.cost} != {cost}")
+        # Gains of locked vertices are not maintained; check the rest.
+        for u in range(h.num_vertices):
+            if not self.locked[u] and self.gains[u] != fresh[u]:
+                raise FmAuditError(f"incremental gain drift at vertex {u}")
+        seen = set()
+        for s in (0, 1):
+            in_heap = {-g for g in self.heaps[s]}
+            for gain, bucket in self.buckets[s].items():
+                if not bucket:
+                    raise FmAuditError(f"empty bucket for gain {gain} on side {s}")
+                if gain not in in_heap:
+                    raise FmAuditError(f"gain {gain} of side {s} missing from its heap")
+                for u in bucket:
+                    if (u in seen or self.locked[u] or not self.in_struct[u]
+                            or assignment[u] != s or self.gains[u] != gain):
+                        raise FmAuditError(f"vertex {u} sits in the wrong bucket")
+                    seen.add(u)
+        if len(seen) != sum(self.in_struct):
+            raise FmAuditError("bucket membership disagrees with the eligibility flags")
+        if self.boundary_only:
+            eligible = {u for e, pins in enumerate(h.pins_by_hyperedge)
+                        if 0 < count0[e] < len(pins) for u in pins}
+        else:
+            eligible = range(h.num_vertices)
+        for u in eligible:
+            if not self.locked[u] and u not in seen:
+                raise FmAuditError(f"eligible vertex {u} is missing from the buckets")
 
 
 def _state_key(violation: float, cost: int) -> Tuple[int, float, int]:
@@ -273,6 +363,9 @@ def fm_pass(h: Hypergraph, p: Partition, cfg: FmConfig,
         raise ValueError(f"unknown FM mode {cfg.mode!r}")
     if window is None:
         window = BalanceWindow.symmetric(h.total_vertex_weight, cfg.epsilon)
+    if window.lower > window.upper:
+        # Move selection relies on the window being a nonempty interval.
+        raise ValueError("empty balance window")
 
     state = _FmState(h, p, window, boundary_only=(cfg.mode == "bfm"))
     initial_cost = state.cost
@@ -283,17 +376,13 @@ def fm_pass(h: Hypergraph, p: Partition, cfg: FmConfig,
     stall = 0
 
     while True:
+        if audit:
+            state.audit()
         v = state.select()
         if v is None:
             break
         state.apply_move(v)
         history.append(v)
-        if audit:
-            # Gains of locked vertices are not maintained; compare the rest.
-            fresh = state.recompute_gains()
-            for u in range(h.num_vertices):
-                if not state.locked[u]:
-                    assert state.gains[u] == fresh[u], "incremental gain drift"
         key = _state_key(window.violation(p.part_weight[0]), state.cost)
         if key < best_key:
             best_key = key

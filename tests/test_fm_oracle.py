@@ -1,0 +1,280 @@
+"""Differential tests of the FM engine against a scalar reference FM.
+
+The reference below recounts gains and cost from scratch before every
+move and selects moves the plain way: it walks the distinct gains in
+descending order and, per gain and side, scans for the lowest-id
+admissible vertex. The engine in ``hypart.refine`` keeps incremental
+gains, per-side buckets and a lazy max-gain heap, and rejects a blocked
+side at once; it must make exactly the same moves.
+"""
+
+import random
+
+import pytest
+
+from hypart import (BalanceWindow, FmConfig, Hypergraph, Partition, fm_pass,
+                    refine_bipartition)
+from hypart.refine import FmAuditError, _FmState
+
+from conftest import naive_cost
+
+
+def reference_gains(h, assignment):
+    gains = [0] * h.num_vertices
+    for e, pins in enumerate(h.pins_by_hyperedge):
+        w = h.hyperedge_weight[e]
+        for v in pins:
+            own = sum(1 for u in pins if assignment[u] == assignment[v])
+            other = len(pins) - own
+            gains[v] += w * ((1 if other > 0 else 0) - (1 if own > 1 else 0))
+    return gains
+
+
+def reference_admissible(h, window, assignment, part_weight, v):
+    a = assignment[v]
+    if sum(1 for part in assignment if part == a) <= 1:
+        return False
+    wmax = max(h.vertex_weight)
+    lo_soft = min(window.lower, window.target - wmax)
+    hi_soft = max(window.upper, window.target + wmax)
+    w0 = part_weight[0]
+    w0_after = w0 - h.vertex_weight[v] if a == 0 else w0 + h.vertex_weight[v]
+    if lo_soft - 1e-9 <= w0_after <= hi_soft + 1e-9:
+        return True
+    return window.violation(w0_after) < window.violation(w0) - 1e-12
+
+
+def reference_select(h, window, assignment, part_weight, candidates):
+    gains = reference_gains(h, assignment)
+    total = h.total_vertex_weight
+    deficits = (window.target - part_weight[0],
+                (total - window.target) - part_weight[1])
+    for gain in sorted({gains[v] for v in candidates}, reverse=True):
+        best = [None, None]
+        for side in (0, 1):
+            for v in sorted(candidates):
+                if (gains[v] == gain and assignment[v] == side
+                        and reference_admissible(h, window, assignment, part_weight, v)):
+                    best[side] = v
+                    break
+        cand0, cand1 = best
+        if cand0 is None and cand1 is None:
+            continue
+        if cand1 is None:
+            return cand0
+        if cand0 is None:
+            return cand1
+        key0 = (0 if deficits[1] >= deficits[0] else 1, cand0)
+        key1 = (0 if deficits[0] >= deficits[1] else 1, cand1)
+        return cand0 if key0 <= key1 else cand1
+    return None
+
+
+def state_key(window, part_weight, cost):
+    violation = window.violation(part_weight[0])
+    if violation <= 1e-9:
+        return (0, float(cost), 0)
+    return (1, violation, cost)
+
+
+def reference_fm_pass(h, assignment, window, mode, early_exit_window):
+    """One pass on copies; returns ``(assignment, part_weight, delta)``."""
+    assignment = list(assignment)
+    part_weight = [0, 0]
+    for v, part in enumerate(assignment):
+        part_weight[part] += h.vertex_weight[v]
+
+    def cut_pins():
+        return {u for pins in h.pins_by_hyperedge
+                if len({assignment[v] for v in pins}) > 1 for u in pins}
+
+    eligible = cut_pins() if mode == "bfm" else set(range(h.num_vertices))
+    locked = set()
+    initial = cost = naive_cost(h, assignment)
+    best_key = state_key(window, part_weight, cost)
+    best_cost = cost
+    history = []
+    best_index = 0
+    stall = 0
+    while True:
+        v = reference_select(h, window, assignment, part_weight, eligible - locked)
+        if v is None:
+            break
+        a = assignment[v]
+        assignment[v] = 1 - a
+        part_weight[a] -= h.vertex_weight[v]
+        part_weight[1 - a] += h.vertex_weight[v]
+        locked.add(v)
+        history.append(v)
+        if mode == "bfm":
+            # A hyperedge that the move puts into the cut makes its pins
+            # eligible; pins of hyperedges already cut are eligible already.
+            eligible |= cut_pins()
+        cost = naive_cost(h, assignment)
+        key = state_key(window, part_weight, cost)
+        if key < best_key:
+            best_key, best_cost, best_index, stall = key, cost, len(history), 0
+        else:
+            stall += 1
+            if mode == "fm-ee" and stall >= early_exit_window:
+                break
+    for v in reversed(history[best_index:]):
+        b = assignment[v]
+        assignment[v] = 1 - b
+        part_weight[b] -= h.vertex_weight[v]
+        part_weight[1 - b] += h.vertex_weight[v]
+    return assignment, part_weight, best_cost - initial
+
+
+def reference_refine(h, assignment, window, mode, early_exit_window, max_passes):
+    total = 0
+    for _ in range(max_passes):
+        before = window.violation(sum(h.vertex_weight[v] for v, part in
+                                      enumerate(assignment) if part == 0))
+        assignment, part_weight, delta = reference_fm_pass(
+            h, assignment, window, mode, early_exit_window)
+        total += delta
+        if delta == 0 and window.violation(part_weight[0]) == before:
+            break
+    return assignment, part_weight, total
+
+
+def weighted_hypergraph(rng):
+    """Random hypergraph with random vertex weights and edge weights."""
+    n = rng.randint(4, 18)
+    m = rng.randint(3, 24)
+    pins = [sorted(rng.sample(range(n), rng.randint(2, min(6, n)))) for _ in range(m)]
+    wmax = rng.choice((1, 2, 3, 6, 12))
+    vertex_weight = [rng.randint(1, wmax) for _ in range(n)]
+    scheme = rng.choice(("unit", "size", "random"))
+    if scheme == "unit":
+        edge_weight = None
+    elif scheme == "size":
+        edge_weight = [len(p) for p in pins]
+    else:
+        edge_weight = [rng.randint(1, 9) for _ in pins]
+    return Hypergraph(n, pins, vertex_weight=vertex_weight, hyperedge_weight=edge_weight)
+
+
+def random_window(rng, total):
+    """Symmetric or asymmetric window, target inside it as the driver makes."""
+    if rng.random() < 0.4:
+        return BalanceWindow.symmetric(total, rng.choice((0.02, 0.1, 0.3)))
+    lower = rng.randint(1, max(1, total - 1))
+    upper = min(total, lower + rng.randint(0, max(1, total // 4)))
+    target = rng.uniform(lower, upper)
+    return BalanceWindow(float(lower), float(upper), target)
+
+
+def random_start(rng, h):
+    n = h.num_vertices
+    kind = rng.choice(("random", "one-vs-rest", "rest-vs-one"))
+    if kind == "random":
+        assignment = [rng.randrange(2) for _ in range(n)]
+        assignment[0], assignment[-1] = 0, 1
+    else:
+        lone = 1 if kind == "one-vs-rest" else 0
+        assignment = [1 - lone] * n
+        assignment[rng.randrange(n)] = lone
+    return assignment
+
+
+def fuzz_cases(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        h = weighted_hypergraph(rng)
+        window = random_window(rng, h.total_vertex_weight)
+        mode = rng.choice(("bfm", "fm-ee"))
+        cfg = FmConfig(mode=mode, early_exit_window=rng.choice((1, 3, 50)))
+        yield rng, h, window, cfg, random_start(rng, h)
+
+
+class TestDifferentialFm:
+    def test_refine_bipartition_matches_reference(self):
+        for rng, h, window, cfg, start in fuzz_cases(101, 300):
+            passes = rng.randint(1, 6)
+            expected = reference_refine(h, start, window, cfg.mode,
+                                        cfg.early_exit_window, passes)
+            p = Partition.from_assignment(h, 2, start)
+            delta = refine_bipartition(h, p, cfg, window=window, max_passes=passes)
+            assert (p.assignment, p.part_weight, delta) == expected
+
+    def test_audited_pass_matches_reference(self):
+        for _, h, window, cfg, start in fuzz_cases(202, 150):
+            expected = reference_fm_pass(h, start, window, cfg.mode, cfg.early_exit_window)
+            p = Partition.from_assignment(h, 2, start)
+            _, delta = fm_pass(h, p, cfg, window=window, audit=True)
+            assert (p.assignment, p.part_weight, delta) == expected
+
+
+class TestAdmissibility:
+    def test_monotone_in_vertex_weight(self):
+        # A lighter vertex on the same side is admissible whenever a
+        # heavier one is; selection relies on it to reject a side at once.
+        for _, h, window, cfg, start in fuzz_cases(303, 300):
+            p = Partition.from_assignment(h, 2, start)
+            state = _FmState(h, p, window, boundary_only=(cfg.mode == "bfm"))
+            for side in (0, 1):
+                verdicts = [state.admissible(side, w)
+                            for w in range(1, h.total_vertex_weight + 1)]
+                assert verdicts == sorted(verdicts, reverse=True)
+
+    def test_matches_reference_per_vertex(self):
+        for _, h, window, cfg, start in fuzz_cases(404, 100):
+            p = Partition.from_assignment(h, 2, start)
+            state = _FmState(h, p, window, boundary_only=False)
+            for v in range(h.num_vertices):
+                assert (state.admissible(p.assignment[v], h.vertex_weight[v])
+                        == reference_admissible(h, window, p.assignment, p.part_weight, v))
+
+    def test_empty_window_rejected(self, path4):
+        p = Partition.from_assignment(path4, 2, [0, 0, 1, 1])
+        with pytest.raises(ValueError):
+            fm_pass(path4, p, FmConfig(), window=BalanceWindow(3.0, 1.0, 2.0))
+
+
+class TestAudit:
+    def fresh_state(self):
+        h = Hypergraph(6, [[0, 1, 2], [2, 3], [3, 4, 5], [0, 5]],
+                       vertex_weight=[1, 2, 1, 3, 1, 2])
+        p = Partition.from_assignment(h, 2, [0, 0, 0, 1, 1, 1])
+        state = _FmState(h, p, BalanceWindow.symmetric(h.total_vertex_weight, 0.2),
+                         boundary_only=False)
+        state.audit()
+        return state
+
+    def test_detects_gain_drift(self):
+        state = self.fresh_state()
+        state.gains[4] += 1
+        with pytest.raises(FmAuditError):
+            state.audit()
+
+    def test_detects_misplaced_vertex(self):
+        state = self.fresh_state()
+        gain = state.gains[1]
+        state.buckets[0][gain].discard(1)
+        state.buckets[1].setdefault(gain, set()).add(1)
+        with pytest.raises(FmAuditError):
+            state.audit()
+
+    def test_detects_empty_bucket(self):
+        state = self.fresh_state()
+        state.buckets[0][10**6] = set()
+        with pytest.raises(FmAuditError):
+            state.audit()
+
+    def test_detects_gain_missing_from_heap(self):
+        state = self.fresh_state()
+        state.heaps[1].clear()
+        with pytest.raises(FmAuditError):
+            state.audit()
+
+    def test_detects_missing_eligible_vertex(self):
+        state = self.fresh_state()
+        gain = state.gains[2]
+        state.buckets[0][gain].discard(2)
+        if not state.buckets[0][gain]:
+            del state.buckets[0][gain]
+        state.in_struct[2] = False
+        with pytest.raises(FmAuditError):
+            state.audit()
