@@ -102,7 +102,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         k=args.k, epsilon=args.epsilon, seed=args.seed, runs=args.runs,
         similarity_threshold=args.sim_threshold,
         clustering_threshold=args.clus_threshold,
-        edge_weights=args.edge_weights,
         fm=FmConfig(epsilon=args.epsilon),
     )
     try:

@@ -48,9 +48,6 @@ class Matching:
         self.coarse_id = coarse_id
         self.num_coarse = nxt
 
-    def num_pairs(self) -> int:
-        return sum(1 for m in self.mate if m is not None) // 2
-
 
 @dataclass
 class LevelLink:
@@ -275,6 +272,16 @@ def cc_edge(h: Hypergraph, e: int) -> float:
     Unit-size hyperedges and hyperedges with an isolated neighbourhood
     score 0. Both sums exclude the hyperedge itself, which makes the
     value invariant under uniform scaling of all hyperedge weights.
+
+    The two sums differ only by the factor ``1 / (|e| - 1)``: with
+    ``cnt`` the number of pins ``e2`` shares with ``e``, the numerator
+    is ``sum(cnt / (|e| - 1) * w(e2))`` and the denominator is
+    ``sum(cnt * w(e2))``. So the value is ``1 / (|e| - 1)`` (up to
+    float rounding) whenever ``e`` shares a pin with another hyperedge,
+    and 0 otherwise; the overlap structure does not enter it. The walk
+    is kept rather than the closed form because the rounding of the
+    walk's sums is what the threshold seed, and thus the clusters,
+    are reproduced from.
     """
     if not 0 <= e < h.num_hyperedges:
         raise IndexError(f"hyperedge id {e} out of range")
@@ -298,7 +305,13 @@ def cc_edge(h: Hypergraph, e: int) -> float:
 
 
 def cc_hypergraph(h: Hypergraph) -> float:
-    """Average clustering coefficient over all hyperedges."""
+    """Average clustering coefficient over all hyperedges.
+
+    By the identity in :func:`cc_edge` this is the mean of
+    ``1 / (|e| - 1)`` over the hyperedges that share a pin with another
+    one (the rest count as 0): it tracks hyperedge sizes, not how much
+    the hyperedges overlap.
+    """
     if h.num_hyperedges == 0:
         raise ValueError("clustering coefficient undefined without hyperedges")
     return sum(cc_edge(h, e) for e in range(h.num_hyperedges)) / h.num_hyperedges

@@ -46,7 +46,6 @@ class PartitionConfig:
     coarsest_size: int = 100
     similarity_threshold: Union[str, float] = "auto"   # "auto" uses the CC seed
     clustering_threshold: Union[str, float] = "auto"   # "auto" is 0 + unit-cluster removal
-    edge_weights: str = "unit"                         # applied at ingestion
     fm: FmConfig = field(default_factory=FmConfig)
     init_repeats: int = 4
     seed: int = 1

@@ -5,13 +5,14 @@ part 0, which halves the search space since cost and balance are
 symmetric under swapping the two part labels) and returns the exact
 optimum of the connectivity-minus-one cost over all balanced
 bipartitions with two non-empty parts.
+
+numpy is imported inside :func:`brute_force_bipartition`, its only user,
+so importing :mod:`hypart` or running the command line never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .model import Hypergraph, InfeasibleBalanceError, Partition
 
@@ -27,6 +28,8 @@ class OracleResult:
 
 def brute_force_bipartition(h: Hypergraph, epsilon: float) -> OracleResult:
     """Exact minimum-cost balanced bipartition by full enumeration."""
+    import numpy as np
+
     n = h.num_vertices
     if n < 2:
         raise ValueError("need at least two vertices")

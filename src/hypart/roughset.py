@@ -27,17 +27,12 @@ class EdgePartitioning:
 
     ``clusters`` are disjoint, cover all hyperedges and are stored as
     ascending id lists; ``cluster_of[e]`` is the cluster id of hyperedge
-    ``e``. The representative of a cluster (used for reporting only) is
-    its lowest hyperedge id.
+    ``e``.
     """
 
     cluster_of: List[int]
     clusters: List[List[int]]
-    cluster_weight: List[int]
     cluster_size: List[int]
-
-    def representative(self, c_id: int) -> int:
-        return self.clusters[c_id][0]
 
 
 @dataclass
@@ -161,9 +156,8 @@ def build_edge_partitions(h: Hypergraph, s: float) -> EdgePartitioning:
                     queue_push(e2)
         clusters.append(sorted(members))
 
-    cluster_weight = [sum(weights[e] for e in members) for members in clusters]
     cluster_size = [len(members) for members in clusters]
-    return EdgePartitioning(cluster_of, clusters, cluster_weight, cluster_size)
+    return EdgePartitioning(cluster_of, clusters, cluster_size)
 
 
 def reduced_value(h: Hypergraph, ep: EdgePartitioning, v: int, c_id: int) -> int:

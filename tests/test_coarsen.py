@@ -139,7 +139,8 @@ class TestMatchNoncore:
                     assert mv != v
                     assert m.mate[mv] == v
                     assert m.coarse_id[mv] == m.coarse_id[v]
-            assert m.num_coarse == h.num_vertices - m.num_pairs()
+            pairs = sum(1 for mv in m.mate if mv is not None) // 2
+            assert m.num_coarse == h.num_vertices - pairs
             ratio = h.num_vertices / m.num_coarse
             assert 1.0 <= ratio <= 2.0
 
@@ -251,6 +252,25 @@ class TestClusteringCoefficient:
                                 hyperedge_weight=[w * 7 for w in h.hyperedge_weight])
             for e in range(h.num_hyperedges):
                 assert abs(cc_edge(h, e) - cc_edge(scaled, e)) <= 1e-9
+
+    def test_closed_form_identity(self):
+        # The overlap-weighted sum and its normaliser differ only by the
+        # factor 1 / (|e| - 1), so the walk reduces to that closed form.
+        rng = random.Random(127)
+        for _ in range(300):
+            n = rng.randint(1, 14)
+            pins = [sorted(rng.sample(range(n), rng.randint(1, min(5, n))))
+                    for _ in range(rng.randint(1, 12))]
+            weights = [rng.randint(1, 9) for _ in pins]
+            h = Hypergraph(n, pins, hyperedge_weight=weights)
+            for e, edge in enumerate(pins):
+                shares = any(e2 != e for v in edge for e2 in h.pins_by_vertex[v])
+                got = cc_edge(h, e)
+                if len(edge) <= 1 or not shares:
+                    assert got == 0.0
+                else:
+                    want = 1.0 / (len(edge) - 1)
+                    assert abs(got - want) <= 1e-12 * want
 
     def test_no_hyperedges_is_an_error(self):
         with pytest.raises(ValueError):

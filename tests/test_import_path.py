@@ -1,0 +1,44 @@
+"""The partitioner's import path stays free of numpy.
+
+numpy backs only the exhaustive reference bipartitioner, so importing
+the package or its command line must not load it. Each check runs in a
+fresh interpreter, because the test process itself has long imported
+numpy through other suites.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+
+
+def run_fresh(code):
+    env = dict(os.environ)
+    inherited = [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), str(TESTS)] + inherited)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+@pytest.mark.parametrize("module", ["hypart", "hypart.cli"])
+def test_import_leaves_numpy_unloaded(module):
+    out = run_fresh(f"import sys, {module}; print('numpy' in sys.modules)")
+    assert out == "False"
+
+
+def test_oracle_loads_numpy_on_first_call():
+    out = run_fresh(
+        "import sys\n"
+        "from hypart import brute_force_bipartition\n"
+        "from conftest import make_path4\n"
+        "before = 'numpy' in sys.modules\n"
+        "result = brute_force_bipartition(make_path4(), 0.1)\n"
+        "print(before, 'numpy' in sys.modules, result.best_cost)\n")
+    assert out == "False True 1"
