@@ -21,7 +21,6 @@ from .driver import PHASE_KEYS, PartitionConfig, run_many
 from .io import (MatrixFormatError, read_matrix_market, write_partition,
                  WEIGHT_SCHEMES)
 from .model import InfeasibleBalanceError
-from .refine import FmConfig
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -70,17 +69,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    if args.k < 2:
-        parser.error("k must be at least 2")
-    if not 0.0 < args.epsilon < 1.0:
-        parser.error("epsilon must lie in (0, 1)")
-    if args.runs < 1:
-        parser.error("runs must be at least 1")
-    if isinstance(args.sim_threshold, float) and not 0.0 < args.sim_threshold < 1.0:
-        parser.error("--sim-threshold must lie in (0, 1)")
-    if isinstance(args.clus_threshold, float) and not 0.0 <= args.clus_threshold <= 1.0:
-        parser.error("--clus-threshold must lie in [0, 1]")
+    cfg = PartitionConfig(
+        k=args.k, epsilon=args.epsilon, seed=args.seed, runs=args.runs,
+        similarity_threshold=args.sim_threshold,
+        clustering_threshold=args.clus_threshold,
+    )
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        parser.error(str(exc))
 
     out_path = args.out if args.out is not None else args.input + ".part"
     stats_path = args.stats if args.stats is not None else args.input + ".stats.json"
@@ -98,12 +95,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     read_seconds = time.perf_counter() - read_start
 
-    cfg = PartitionConfig(
-        k=args.k, epsilon=args.epsilon, seed=args.seed, runs=args.runs,
-        similarity_threshold=args.sim_threshold,
-        clustering_threshold=args.clus_threshold,
-        fm=FmConfig(epsilon=args.epsilon),
-    )
     try:
         summary = run_many(h, cfg)
     except (InfeasibleBalanceError, ValueError) as exc:

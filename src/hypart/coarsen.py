@@ -107,23 +107,22 @@ def weighted_jaccard(h: Hypergraph, u: int, v: int) -> float:
     return shared / union
 
 
-def _best_mate(h: Hypergraph, u: int, candidates: set, incident_weight: List[int],
-               restrict: Optional[set] = None) -> Optional[int]:
-    """Unmatched candidate with maximum weighted Jaccard to ``u``.
+def _best_mate(h: Hypergraph, u: int, free: set,
+               incident_weight: List[int]) -> Optional[int]:
+    """Vertex of ``free`` with maximum weighted Jaccard to ``u``.
 
-    Ties break to the lower vertex id. When no candidate shares a
-    hyperedge with ``u`` the lowest-id candidate wins (all similarities
-    are zero). ``restrict`` additionally filters the accumulation walk.
+    Ties break to the lower vertex id. Returns None when no vertex of
+    ``free`` shares a hyperedge with ``u``.
     """
     shared: dict[int, int] = {}
     weights = h.hyperedge_weight
     for e in h.pins_by_vertex[u]:
         w = weights[e]
         for x in h.pins_by_hyperedge[e]:
-            if x != u and x in candidates and (restrict is None or x in restrict):
+            if x != u and x in free:
                 shared[x] = shared.get(x, 0) + w
     if not shared:
-        return min(candidates) if candidates else None
+        return None
     wu = incident_weight[u]
     best = None
     best_j = -1.0
@@ -142,7 +141,8 @@ def match_in_cores(h: Hypergraph, cores: CoreDecomposition,
     """Pair vertices inside each core by maximum weighted Jaccard.
 
     Per core: pick a random unmatched vertex, mate it with the most
-    similar unmatched vertex of the same core, repeat. Core members that
+    similar unmatched vertex of the same core (the lowest-id one when
+    none shares a hyperedge with it), repeat. Core members that
     stay unmatched, singleton-core vertices and non-core vertices form
     the leftover pool handed to :func:`match_noncore`.
     """
@@ -156,6 +156,8 @@ def match_in_cores(h: Hypergraph, cores: CoreDecomposition,
             u = unmatched.pop(rng.randrange(len(unmatched)))
             unmatched_set.discard(u)
             v = _best_mate(h, u, unmatched_set, incident_weight)
+            if v is None:
+                v = min(unmatched_set)
             mate[u] = v
             mate[v] = u
             unmatched.remove(v)
@@ -189,32 +191,20 @@ def match_noncore(h: Hypergraph, m: Matching, pool: Sequence[int],
         return Matching(mate)
 
     incident_weight = h.vertex_incident_weights()
+    # Every unmatched vertex is a candidate mate, not only the pool.
+    free = {v for v in range(n) if mate[v] is None}
     order = list(pool)
     rng.shuffle(order)
-    weights = h.hyperedge_weight
     for u in order:
-        if mate[u] is not None:
+        if u not in free:
             continue
-        shared: dict[int, int] = {}
-        for e in h.pins_by_vertex[u]:
-            w = weights[e]
-            for x in h.pins_by_hyperedge[e]:
-                if x != u and mate[x] is None:
-                    shared[x] = shared.get(x, 0) + w
-        if not shared:
+        best = _best_mate(h, u, free, incident_weight)
+        if best is None:
             continue
-        wu = incident_weight[u]
-        best = None
-        best_j = -1.0
-        for x in sorted(shared):
-            sw = shared[x]
-            union = wu + incident_weight[x] - sw
-            j = sw / union if union > 0 else 0.0
-            if j > best_j:
-                best_j = j
-                best = x
         mate[u] = best
         mate[best] = u
+        free.discard(u)
+        free.discard(best)
         pairs += 1
         if ratio_reached():
             break

@@ -21,7 +21,7 @@ import random
 import statistics
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 from .coarsen import (LevelLink, contract, initial_threshold, match_in_cores,
@@ -29,7 +29,7 @@ from .coarsen import (LevelLink, contract, initial_threshold, match_in_cores,
 from .initpart import INIT_METHODS, generate_candidate, select_best
 from .model import (BalanceWindow, Hypergraph, InfeasibleBalanceError,
                     Partition, max_imbalance, partition_cost, validate)
-from .refine import FmConfig, refine_bipartition, project
+from .refine import FM_BFM, FM_EE, refine_bipartition, project
 from .roughset import build_edge_partitions, extract_cores
 
 PHASE_KEYS = ("overall", "build", "recursion", "vcycle", "hcg", "matching",
@@ -37,36 +37,33 @@ PHASE_KEYS = ("overall", "build", "recursion", "vcycle", "hcg", "matching",
 
 # Coarsening stops when a level compresses by less than this factor.
 STAGNATION_RATIO = 1.05
+# Coarsening stops once a level has at most this many vertices.
+COARSEST_SIZE = 100
+# Candidates per initial partitioning method at the coarsest level.
+INIT_REPEATS = 4
+# Number of finest levels that get an extra early-exit FM sweep on top
+# of the boundary sweep run at every level.
+FMEE_FINEST_LEVELS = 2
 
 
 @dataclass
 class PartitionConfig:
     k: int = 2
     epsilon: float = 0.02
-    coarsest_size: int = 100
     similarity_threshold: Union[str, float] = "auto"   # "auto" uses the CC seed
     clustering_threshold: Union[str, float] = "auto"   # "auto" is 0 + unit-cluster removal
-    fm: FmConfig = field(default_factory=FmConfig)
-    init_repeats: int = 4
     seed: int = 1
     runs: int = 1
-    # Number of finest levels that get an extra early-exit FM sweep on
-    # top of the boundary sweep run at every level.
-    fmee_finest_levels: int = 2
 
     def validate(self) -> None:
         if self.k < 2:
             raise ValueError("k must be at least 2")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        if self.coarsest_size < 2:
-            raise ValueError("coarsest_size must be at least 2")
         if self.similarity_threshold != "auto" and not 0.0 < float(self.similarity_threshold) < 1.0:
             raise ValueError("fixed similarity threshold must lie in (0, 1)")
         if self.clustering_threshold != "auto" and not 0.0 <= float(self.clustering_threshold) <= 1.0:
             raise ValueError("fixed clustering threshold must lie in [0, 1]")
-        if self.init_repeats < 1:
-            raise ValueError("init_repeats must be at least 1")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
 
@@ -125,7 +122,7 @@ def _bipartition_window(h: Hypergraph, cfg: PartitionConfig, rng: random.Random,
     current = h
     ts: Optional[ThresholdState] = None
 
-    while current.num_vertices > cfg.coarsest_size and current.num_hyperedges > 0:
+    while current.num_vertices > COARSEST_SIZE and current.num_hyperedges > 0:
         if ts is None:
             with timer.phase("hcg"):
                 if sim_fixed is not None:
@@ -158,28 +155,26 @@ def _bipartition_window(h: Hypergraph, cfg: PartitionConfig, rng: random.Random,
     with timer.phase("initpart"):
         candidates = []
         for method in INIT_METHODS:
-            for _ in range(cfg.init_repeats):
-                candidates.append(generate_candidate(
-                    current, method, rng, window=window,
-                    epsilon=cfg.epsilon, fm=_fm(cfg, "fm-ee")))
+            for _ in range(INIT_REPEATS):
+                candidates.append(generate_candidate(current, method, rng, window=window))
         p = select_best(candidates, current, window=window).copy()
 
     with timer.phase("refinement"):
-        _refine_level(current, p, cfg, window, level_pos=len(levels))
+        _refine_level(current, p, window, level_pos=len(levels))
 
     for pos in range(len(levels) - 1, -1, -1):
         link = levels[pos]
         with timer.phase("vcycle"):
             p = project(p, link)
         with timer.phase("refinement"):
-            _refine_level(link.fine, p, cfg, window, level_pos=pos)
+            _refine_level(link.fine, p, window, level_pos=pos)
 
     if window.violation(p.part_weight[0]) > 0:
         # Balance repair: extra early-exit sweeps walk the partition
         # into the window when the projected one sits outside it.
         with timer.phase("refinement"):
             for _ in range(6):
-                refine_bipartition(h, p, _fm(cfg, "fm-ee"), window=window, max_passes=1)
+                refine_bipartition(h, p, FM_EE, window=window, max_passes=1)
                 if window.violation(p.part_weight[0]) == 0:
                     break
     if window.violation(p.part_weight[0]) > 0:
@@ -191,17 +186,11 @@ def _bipartition_window(h: Hypergraph, cfg: PartitionConfig, rng: random.Random,
     return p, info
 
 
-def _fm(cfg: PartitionConfig, mode: str) -> FmConfig:
-    base = cfg.fm
-    return FmConfig(mode=mode, max_passes=base.max_passes,
-                    early_exit_window=base.early_exit_window, epsilon=cfg.epsilon)
-
-
-def _refine_level(h: Hypergraph, p: Partition, cfg: PartitionConfig,
-                  window: BalanceWindow, level_pos: int) -> None:
-    refine_bipartition(h, p, _fm(cfg, "bfm"), window=window)
-    if level_pos < cfg.fmee_finest_levels:
-        refine_bipartition(h, p, _fm(cfg, "fm-ee"), window=window)
+def _refine_level(h: Hypergraph, p: Partition, window: BalanceWindow,
+                  level_pos: int) -> None:
+    refine_bipartition(h, p, FM_BFM, window=window)
+    if level_pos < FMEE_FINEST_LEVELS:
+        refine_bipartition(h, p, FM_EE, window=window)
 
 
 def bipartition(h: Hypergraph, cfg: PartitionConfig,

@@ -11,11 +11,11 @@ least unbalanced one is returned for refinement to repair.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from .model import (BalanceWindow, Hypergraph, InfeasibleBalanceError,
                     Partition, partition_cost)
-from .refine import FmConfig, refine_bipartition
+from .refine import FM_EE, refine_bipartition
 
 INIT_METHODS = ("random", "linear", "fm-seeded")
 
@@ -34,17 +34,13 @@ def _ensure_both_parts(h: Hypergraph, assignment: List[int]) -> None:
 
 
 def generate_candidate(h: Hypergraph, method: str, rng: random.Random,
-                       window: Optional[BalanceWindow] = None,
-                       epsilon: float = 0.02,
-                       fm: Optional[FmConfig] = None) -> Partition:
+                       window: BalanceWindow) -> Partition:
     """Produce one 2-way candidate with the given method."""
     n = h.num_vertices
     if n < 2:
         raise InfeasibleBalanceError("cannot bipartition fewer than two vertices")
     if method not in INIT_METHODS:
         raise ValueError(f"unknown init method {method!r}; expected one of {INIT_METHODS}")
-    if window is None:
-        window = BalanceWindow.symmetric(h.total_vertex_weight, epsilon)
     total = h.total_vertex_weight
     if max(h.vertex_weight) > min(window.upper, total - window.lower) + 1e-9:
         raise InfeasibleBalanceError("a single vertex exceeds the part weight bound")
@@ -54,9 +50,8 @@ def generate_candidate(h: Hypergraph, method: str, rng: random.Random,
         assignment = [0] * n
         assignment[seed_vertex] = 1
         p = Partition.from_assignment(h, 2, assignment)
-        cfg = fm if fm is not None else FmConfig(mode="fm-ee", epsilon=epsilon)
         # Passes run until one changes nothing; the cap is a safety net.
-        refine_bipartition(h, p, cfg, window=window, max_passes=12)
+        refine_bipartition(h, p, FM_EE, window=window, max_passes=12)
         _ensure_both_parts(h, p.assignment)
         return Partition.from_assignment(h, 2, p.assignment)
 
@@ -98,8 +93,7 @@ def generate_candidate(h: Hypergraph, method: str, rng: random.Random,
 
 
 def select_best(candidates: Sequence[Partition], h: Hypergraph,
-                epsilon: float = 0.02,
-                window: Optional[BalanceWindow] = None) -> Partition:
+                window: BalanceWindow) -> Partition:
     """Pick the cheapest balanced candidate, or the least unbalanced one.
 
     Among candidates inside the balance window the minimum-cost one wins
@@ -109,8 +103,6 @@ def select_best(candidates: Sequence[Partition], h: Hypergraph,
     """
     if not candidates:
         raise ValueError("select_best needs at least one candidate")
-    if window is None:
-        window = BalanceWindow.symmetric(h.total_vertex_weight, epsilon)
     best = None
     best_key = None
     for index, p in enumerate(candidates):

@@ -230,9 +230,6 @@ class BalanceWindow:
         avg = total_weight / 2.0
         return cls(avg * (1.0 - epsilon), avg * (1.0 + epsilon), avg)
 
-    def contains(self, weight0: float) -> bool:
-        return self.lower - 1e-9 <= weight0 <= self.upper + 1e-9
-
     def violation(self, weight0: float) -> float:
         v = max(self.lower - weight0, weight0 - self.upper, 0.0)
         return 0.0 if v <= 1e-9 else v

@@ -46,12 +46,16 @@ from .coarsen import LevelLink
 from .model import BalanceWindow, Hypergraph, Partition
 
 
-@dataclass
+@dataclass(frozen=True)
 class FmConfig:
     mode: str = "bfm"            # "bfm" or "fm-ee"
     max_passes: int = 2
     early_exit_window: int = 50  # fm-ee only
-    epsilon: float = 0.02
+
+
+# The two pass flavours the partitioner runs.
+FM_BFM = FmConfig(mode="bfm")
+FM_EE = FmConfig(mode="fm-ee")
 
 
 def project(p_coarse: Partition, link: LevelLink) -> Partition:
@@ -348,8 +352,7 @@ def _state_key(violation: float, cost: int) -> Tuple[int, float, int]:
     return (1, violation, cost)
 
 
-def fm_pass(h: Hypergraph, p: Partition, cfg: FmConfig,
-            window: Optional[BalanceWindow] = None,
+def fm_pass(h: Hypergraph, p: Partition, cfg: FmConfig, window: BalanceWindow,
             audit: bool = False) -> Tuple[Partition, int]:
     """Run one FM pass in place and return ``(p, cost_delta)``.
 
@@ -361,8 +364,6 @@ def fm_pass(h: Hypergraph, p: Partition, cfg: FmConfig,
         raise ValueError("fm_pass refines bipartitions only")
     if cfg.mode not in ("bfm", "fm-ee"):
         raise ValueError(f"unknown FM mode {cfg.mode!r}")
-    if window is None:
-        window = BalanceWindow.symmetric(h.total_vertex_weight, cfg.epsilon)
     if window.lower > window.upper:
         # Move selection relies on the window being a nonempty interval.
         raise ValueError("empty balance window")
@@ -406,11 +407,9 @@ def fm_pass(h: Hypergraph, p: Partition, cfg: FmConfig,
 
 
 def refine_bipartition(h: Hypergraph, p: Partition, cfg: FmConfig,
-                       window: Optional[BalanceWindow] = None,
+                       window: BalanceWindow,
                        max_passes: Optional[int] = None) -> int:
     """Run FM passes until a pass changes nothing; return the total delta."""
-    if window is None:
-        window = BalanceWindow.symmetric(h.total_vertex_weight, cfg.epsilon)
     passes = max_passes if max_passes is not None else cfg.max_passes
     total = 0
     for _ in range(passes):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from hypart import Hypergraph
+from hypart import BalanceWindow, Hypergraph
 
 # A hand-checked 16-vertex / 16-hyperedge example used across the test
 # suite. Per-vertex normalised incidence values, the similarity clusters
@@ -81,6 +81,32 @@ def random_hypergraph(rng, min_vertices=4, max_vertices=16,
         pins.append(sorted(rng.sample(range(n), size)))
     weights = [len(p) for p in pins] if size_weights else None
     return Hypergraph(n, pins, hyperedge_weight=weights)
+
+
+def random_weighted_hypergraph(rng, max_vertices=24, max_edges=30, max_weight=3):
+    """Random hypergraph with small random hyperedge weights.
+
+    Small weights, repeated pin sets and a few isolated vertices make
+    exact similarity ties and empty neighbourhoods common, which is what
+    the oracle tests need to exercise the tie-breaks.
+    """
+    n = rng.randint(2, max_vertices)
+    isolated = set(rng.sample(range(n), rng.randint(0, n // 4)))
+    live = [v for v in range(n) if v not in isolated]
+    pins = []
+    for _ in range(rng.randint(1, max_edges)):
+        if pins and rng.random() < 0.15:
+            pins.append(list(rng.choice(pins)))
+            continue
+        size = rng.randint(1, min(5, len(live)))
+        pins.append(sorted(rng.sample(live, size)))
+    weights = [rng.randint(1, max_weight) for _ in pins]
+    return Hypergraph(n, pins, hyperedge_weight=weights)
+
+
+def symmetric_window(h, epsilon):
+    """Part-0 weight window of a bisection of ``h`` within ``epsilon``."""
+    return BalanceWindow.symmetric(h.total_vertex_weight, epsilon)
 
 
 def naive_cost(h, assignment):

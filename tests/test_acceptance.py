@@ -204,7 +204,7 @@ class TestCriterion4StructuralInvariants:
             if window.violation(p.part_weight[0]) == 0:
                 before = partition_cost(h, p)
                 mode = "bfm" if rng.random() < 0.5 else "fm-ee"
-                _, delta = fm_pass(h, p, FmConfig(mode=mode, epsilon=0.3))
+                _, delta = fm_pass(h, p, FmConfig(mode=mode), window)
                 after = partition_cost(h, p)
                 assert after <= before and after - before == delta
 

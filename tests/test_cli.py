@@ -74,10 +74,21 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out == ""
 
-    def test_k1_is_usage_error(self, matrix_file, tmp_path):
+    @pytest.mark.parametrize("flags", [
+        ["--k", 1], ["--epsilon", 0], ["--epsilon", 1], ["--runs", 0],
+        ["--sim-threshold", 1.0], ["--clus-threshold", 1.5],
+    ], ids=["k-1", "epsilon-0", "epsilon-1", "runs-0", "sim-threshold-1.0",
+            "clus-threshold-1.5"])
+    def test_bad_config_is_usage_error(self, matrix_file, tmp_path, flags):
         with pytest.raises(SystemExit) as excinfo:
-            run_cli(["--input", matrix_file, "--k", 1,
+            run_cli(["--input", matrix_file, *flags,
                      "--out", tmp_path / "p", "--stats", tmp_path / "s"])
+        assert excinfo.value.code == 1
+
+    def test_config_is_checked_before_input(self, tmp_path):
+        # A bad option wins over a missing input file: exit 1, not 2.
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(["--input", tmp_path / "absent.mtx", "--epsilon", 0])
         assert excinfo.value.code == 1
 
     def test_unknown_flag_rejected(self, matrix_file):

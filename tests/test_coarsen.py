@@ -10,7 +10,8 @@ from hypart import (Hypergraph, Matching, Partition, ThresholdState,
                     match_noncore, update_threshold, weighted_jaccard)
 from hypart.roughset import CoreDecomposition
 
-from conftest import FixedOrderRng, make_path4, naive_cost, random_hypergraph
+from conftest import (FixedOrderRng, make_path4, naive_cost, random_hypergraph,
+                      random_weighted_hypergraph)
 
 
 class TestWeightedJaccard:
@@ -120,6 +121,12 @@ class TestMatchNoncore:
         assert m2.mate == [1, 0, 3, 2]
         assert 4 / m2.num_coarse == 2.0
 
+    def test_pool_vertex_pairs_outside_pool(self):
+        # Any unmatched vertex is a candidate mate, not only pool members.
+        h = make_path4()
+        m2 = match_noncore(h, Matching([None] * 4), [0], random.Random(0))
+        assert m2.mate == [1, 0, None, None]
+
     def test_unmatched_vertex_without_neighbours(self):
         h = Hypergraph(3, [[0, 1]])
         m2 = match_noncore(h, Matching([None] * 3), [0, 1, 2], random.Random(1))
@@ -143,6 +150,93 @@ class TestMatchNoncore:
             assert m.num_coarse == h.num_vertices - pairs
             ratio = h.num_vertices / m.num_coarse
             assert 1.0 <= ratio <= 2.0
+
+
+def reference_matching(h, cores, rng, min_ratio=1.5):
+    """Scalar reference for ``match_in_cores`` followed by ``match_noncore``.
+
+    A vertex's best mate is the free vertex with the highest
+    ``weighted_jaccard`` above zero, ties going to the lowest id; inside
+    a core a vertex with no such mate takes the lowest free member. The
+    random draws are the same as the fast path's, in the same order.
+    """
+    n = h.num_vertices
+    mate = [None] * n
+
+    def best_mate(u, free):
+        best, best_j = None, 0.0
+        for x in sorted(free):
+            j = weighted_jaccard(h, u, x)
+            if j > best_j:
+                best, best_j = x, j
+        return best
+
+    leftovers = []
+    for core in cores.cores:
+        unmatched = sorted(core)
+        while len(unmatched) >= 2:
+            u = unmatched.pop(rng.randrange(len(unmatched)))
+            v = best_mate(u, unmatched)
+            if v is None:
+                v = min(unmatched)
+            mate[u], mate[v] = v, u
+            unmatched.remove(v)
+        leftovers.extend(unmatched)
+    pool = sorted(leftovers + cores.singleton_cores + cores.non_core)
+
+    pairs = sum(1 for x in mate if x is not None) // 2
+    if n >= min_ratio * (n - pairs) or not pool:
+        return mate
+    order = list(pool)
+    rng.shuffle(order)
+    for u in order:
+        if mate[u] is not None:
+            continue
+        v = best_mate(u, [x for x in range(n) if x != u and mate[x] is None])
+        if v is None:
+            continue
+        mate[u], mate[v] = v, u
+        pairs += 1
+        if n >= min_ratio * (n - pairs):
+            break
+    return mate
+
+
+def random_core_decomposition(n, rng):
+    """Vertices split at random into cores, singletons and non-core."""
+    order = list(range(n))
+    rng.shuffle(order)
+    cores, singletons, non_core = [], [], []
+    i = 0
+    while i < n:
+        size = rng.randint(1, 5)
+        group = order[i:i + size]
+        i += size
+        if len(group) >= 2 and rng.random() < 0.7:
+            cores.append(sorted(group))
+        elif rng.random() < 0.5:
+            singletons.extend(group)
+        else:
+            non_core.extend(group)
+    return CoreDecomposition(cores, singletons, non_core)
+
+
+class TestMatchingOracle:
+    def test_matches_reference_matcher(self):
+        rng = random.Random(97)
+        for trial in range(300):
+            h = random_weighted_hypergraph(rng)
+            if trial % 2:
+                cores = random_core_decomposition(h.num_vertices, rng)
+            else:
+                cores = cores_of(h, s=rng.choice((0.2, 1 / 3, 0.5)),
+                                 c=rng.choice((0.0, 1 / 3, 0.5)))
+            seed = rng.randrange(10 ** 6)
+            fast_rng = random.Random(seed)
+            m, leftovers = match_in_cores(h, cores, fast_rng)
+            m = match_noncore(h, m, leftovers, fast_rng)
+            expected = reference_matching(h, cores, random.Random(seed))
+            assert m.mate == expected, f"trial {trial}"
 
 
 class TestContract:

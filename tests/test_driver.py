@@ -138,9 +138,9 @@ class TestPartitionKway:
             records.append(["projected", cost_of(link.fine, p)])
             return p
 
-        def recording_refine(h, p, cfg, window, level_pos):
+        def recording_refine(h, p, window, level_pos):
             balanced_before = window.violation(p.part_weight[0]) == 0
-            original_refine(h, p, cfg, window, level_pos)
+            original_refine(h, p, window, level_pos)
             if records and records[-1][0] == "projected" and balanced_before:
                 records[-1] = ["pair", records[-1][1], cost_of(h, p)]
 

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from hypart import Hypergraph, PartitionConfig, partition_kway
+from hypart import Hypergraph, PartitionConfig, run_many
 
 
 def banded_hypergraph(seed, rows, band, max_pins, size_weights,
@@ -37,17 +37,27 @@ def banded_hypergraph(seed, rows, band, max_pins, size_weights,
                       hyperedge_weight=edge_weights)
 
 
-# (name, hypergraph arguments, k)
+# (name, hypergraph arguments, config arguments besides epsilon and seed)
 CASES = [
-    ("unit-k2", dict(seed=11, rows=300, band=12, max_pins=5, size_weights=False), 2),
-    ("size-k4", dict(seed=12, rows=300, band=12, max_pins=6, size_weights=True), 4),
-    ("unit-k8", dict(seed=13, rows=400, band=20, max_pins=5, size_weights=False), 8),
+    ("unit-k2", dict(seed=11, rows=300, band=12, max_pins=5, size_weights=False),
+     dict(k=2)),
+    ("size-k4", dict(seed=12, rows=300, band=12, max_pins=6, size_weights=True),
+     dict(k=4)),
+    ("unit-k8", dict(seed=13, rows=400, band=20, max_pins=5, size_weights=False),
+     dict(k=8)),
     ("vweight-unit-k2", dict(seed=14, rows=300, band=12, max_pins=5, size_weights=False,
-                             max_vertex_weight=4), 2),
+                             max_vertex_weight=4), dict(k=2)),
     ("vweight-size-k4", dict(seed=15, rows=300, band=15, max_pins=6, size_weights=True,
-                             max_vertex_weight=3), 4),
+                             max_vertex_weight=3), dict(k=4)),
     ("vweight-size-k8", dict(seed=16, rows=400, band=20, max_pins=6, size_weights=True,
-                             max_vertex_weight=5), 8),
+                             max_vertex_weight=5), dict(k=8)),
+    # The best of three seeded runs; here the third run is the cheapest.
+    ("runs3-unit-k4", dict(seed=27, rows=300, band=12, max_pins=5, size_weights=False),
+     dict(k=4, runs=3)),
+    # Fixed thresholds: no CC seed, no unit-cluster removal; the root
+    # level has ten cores.
+    ("fixed-thresholds-k4", dict(seed=21, rows=300, band=4, max_pins=3, size_weights=True),
+     dict(k=4, similarity_threshold=0.5, clustering_threshold=0.5)),
 ]
 
 GOLDEN = {
@@ -57,20 +67,24 @@ GOLDEN = {
     "vweight-unit-k2": "34121c278d0077e1741e3a663a4381ea42d3fbc234729f421eeea1d244310960",
     "vweight-size-k4": "138f9d0ec5833a19971072d2502ea1d0a2f74da22db371fbd22a6f5a58904932",
     "vweight-size-k8": "a1c7af05ebef6716c93be58eda8f1ada94c646b1fb88758fceb4b9935aa4112d",
+    "runs3-unit-k4": "cef6ea83ef771e6257f0a99c533ddcb887421a333d4410faa310e9a8bf7eb687",
+    "fixed-thresholds-k4": "22430b72db385f63a04a011be5788060a50768cf9803d35533ab2fce9b289861",
 }
 
 
-def partition_digest(args, k):
+def partition_digest(args, cfg_args):
+    """sha256 of the best partition over ``cfg_args.get("runs", 1)`` runs."""
     h = banded_hypergraph(**args)
-    p, _ = partition_kway(h, PartitionConfig(k=k, epsilon=0.02, seed=1))
+    summary = run_many(h, PartitionConfig(epsilon=0.02, seed=1, **cfg_args))
+    p = summary["best_partition"]
     return hashlib.sha256(",".join(map(str, p.assignment)).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name,args,k", CASES, ids=[case[0] for case in CASES])
-def test_golden_digest(name, args, k):
-    assert partition_digest(args, k) == GOLDEN[name]
+@pytest.mark.parametrize("name,args,cfg_args", CASES, ids=[case[0] for case in CASES])
+def test_golden_digest(name, args, cfg_args):
+    assert partition_digest(args, cfg_args) == GOLDEN[name]
 
 
 if __name__ == "__main__":
-    for name, args, k in CASES:
-        print(f'    "{name}": "{partition_digest(args, k)}",')
+    for name, args, cfg_args in CASES:
+        print(f'    "{name}": "{partition_digest(args, cfg_args)}",')

@@ -9,7 +9,8 @@ from hypart import (Hypergraph, build_edge_partitions, extract_cores,
                     hyperedge_similarity, info_value, reduced_value)
 
 from conftest import (SAMPLE16_CLUSTERS, SAMPLE16_CORES, SAMPLE16_NON_CORE,
-                      SAMPLE16_SINGLETONS, random_hypergraph)
+                      SAMPLE16_SINGLETONS, random_hypergraph,
+                      random_weighted_hypergraph)
 
 
 class TestInfoValue:
@@ -218,3 +219,75 @@ class TestExtractCores:
         ep = build_edge_partitions(sample16, 0.5)
         with pytest.raises(ValueError):
             extract_cores(sample16, ep, 1.5)
+
+
+def reference_clusters(h, s):
+    """Connected components of the graph joining every pair of
+    hyperedges whose ``hyperedge_similarity`` reaches ``s``."""
+    parent = list(range(h.num_hyperedges))
+
+    def find(e):
+        while parent[e] != e:
+            parent[e] = parent[parent[e]]
+            e = parent[e]
+        return e
+
+    for ei in range(h.num_hyperedges):
+        for ej in range(ei + 1, h.num_hyperedges):
+            if hyperedge_similarity(h, ei, ej) >= s:
+                parent[find(ei)] = find(ej)
+    groups = {}
+    for e in range(h.num_hyperedges):
+        groups.setdefault(find(e), set()).add(e)
+    return {frozenset(g) for g in groups.values()}
+
+
+def reference_signature(h, ep, v, c, drop_unit_clusters):
+    """Clusters that ``v`` touches with a share of its degree of at least ``c``."""
+    degree = h.degree(v)
+    return frozenset(
+        c_id for c_id, members in enumerate(ep.clusters)
+        if not (drop_unit_clusters and len(members) < 2)
+        and reduced_value(h, ep, v, c_id) > 0
+        and reduced_value(h, ep, v, c_id) / degree >= c)
+
+
+class TestClusteringOracle:
+    # Thresholds include exact ratios so that similarities and shares
+    # land on the boundary.
+    SIMILARITIES = (0.05, 0.2, 1 / 3, 0.5, 2 / 3, 0.9)
+    SHARES = (0.0, 0.25, 1 / 3, 0.5, 2 / 3, 1.0)
+
+    def test_clusters_are_similarity_components(self):
+        rng = random.Random(71)
+        for trial in range(300):
+            h = random_weighted_hypergraph(rng)
+            s = rng.choice(self.SIMILARITIES)
+            ep = build_edge_partitions(h, s)
+            assert {frozenset(c) for c in ep.clusters} == reference_clusters(h, s), \
+                f"trial {trial}"
+            for c_id, members in enumerate(ep.clusters):
+                assert all(ep.cluster_of[e] == c_id for e in members)
+
+    def test_cores_group_reference_signatures(self):
+        rng = random.Random(73)
+        for trial in range(300):
+            h = random_weighted_hypergraph(rng)
+            ep = build_edge_partitions(h, rng.choice(self.SIMILARITIES))
+            c = rng.choice(self.SHARES)
+            drop = rng.random() < 0.5
+            cores = extract_cores(h, ep, c, drop_unit_clusters=drop)
+            groups = {}
+            non_core = set()
+            for v in range(h.num_vertices):
+                sig = (reference_signature(h, ep, v, c, drop)
+                       if h.degree(v) else frozenset())
+                if sig:
+                    groups.setdefault(sig, set()).add(v)
+                else:
+                    non_core.add(v)
+            assert {frozenset(core) for core in cores.cores} == \
+                {frozenset(g) for g in groups.values() if len(g) >= 2}, f"trial {trial}"
+            assert set(cores.singleton_cores) == \
+                {v for g in groups.values() if len(g) == 1 for v in g}, f"trial {trial}"
+            assert set(cores.non_core) == non_core, f"trial {trial}"
