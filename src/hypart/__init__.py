@@ -19,7 +19,7 @@ from .coarsen import (LevelLink, Matching, ThresholdState, cc_edge,
                       cc_hypergraph, contract, initial_threshold,
                       match_in_cores, match_noncore, update_threshold,
                       weighted_jaccard)
-from .refine import FmConfig, fm_pass, project, refine_bipartition
+from .refine import FM_MODES, fm_pass, project, refine_bipartition
 from .initpart import INIT_METHODS, generate_candidate, select_best
 from .driver import (PHASE_KEYS, PartitionConfig, RunStats, bipartition,
                      induce_subhypergraph, partition_kway, run_many)
@@ -37,7 +37,7 @@ __all__ = [
     "LevelLink", "Matching", "ThresholdState", "cc_edge", "cc_hypergraph",
     "contract", "initial_threshold", "match_in_cores", "match_noncore",
     "update_threshold", "weighted_jaccard",
-    "FmConfig", "fm_pass", "project", "refine_bipartition",
+    "FM_MODES", "fm_pass", "project", "refine_bipartition",
     "INIT_METHODS", "generate_candidate", "select_best",
     "PHASE_KEYS", "PartitionConfig", "RunStats", "bipartition",
     "induce_subhypergraph", "partition_kway", "run_many",

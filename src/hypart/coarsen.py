@@ -2,8 +2,8 @@
 
 Matching pairs vertices for contraction, first inside vertex cores and
 then over the remaining pool until the per-level compression ratio
-(fine vertex count over coarse vertex count) reaches the lower edge of
-the 1.5 to 1.8 band. Contraction merges mates, drops hyperedges that
+(fine vertex count over coarse vertex count) reaches
+``MIN_COMPRESSION``. Contraction merges mates, drops hyperedges that
 shrink to a single pin and fuses hyperedges with identical pin sets.
 The clustering-coefficient helpers seed and update the similarity
 threshold used to build hyperedge clusters at each level.
@@ -15,10 +15,11 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .model import Hypergraph
+from .model import Hypergraph, derive_hypergraph
 from .roughset import CoreDecomposition
 
-RATIO_BAND = (1.5, 1.8)
+# Non-core matching stops once a level compresses by this factor.
+MIN_COMPRESSION = 1.5
 THRESHOLD_CLAMP = (0.05, 0.95)
 
 
@@ -56,8 +57,6 @@ class LevelLink:
     fine: Hypergraph
     coarse: Hypergraph
     coarse_id: List[int]
-    dropped_unit_edges: int
-    merged_edge_groups: int
 
 
 @dataclass(frozen=True)
@@ -169,23 +168,21 @@ def match_in_cores(h: Hypergraph, cores: CoreDecomposition,
 
 
 def match_noncore(h: Hypergraph, m: Matching, pool: Sequence[int],
-                  rng: random.Random,
-                  ratio_band: Tuple[float, float] = RATIO_BAND) -> Matching:
+                  rng: random.Random) -> Matching:
     """Augment a matching over the leftover pool until compression suffices.
 
     Pool vertices are visited in random order; each unmatched one is
     paired with its most similar unmatched neighbour (a vertex sharing
     at least one hyperedge). Matching stops early once the projected
-    compression ratio reaches the lower edge of ``ratio_band``; pair
-    matching caps the ratio at 2 regardless.
+    compression ratio reaches ``MIN_COMPRESSION``; pair matching caps
+    the ratio at 2 regardless.
     """
     n = h.num_vertices
     mate = list(m.mate)
     pairs = sum(1 for x in mate if x is not None) // 2
-    min_ratio = ratio_band[0]
 
     def ratio_reached() -> bool:
-        return n >= min_ratio * (n - pairs)
+        return n >= MIN_COMPRESSION * (n - pairs)
 
     if ratio_reached() or not pool:
         return Matching(mate)
@@ -212,45 +209,15 @@ def match_noncore(h: Hypergraph, m: Matching, pool: Sequence[int],
 
 
 def contract(h: Hypergraph, m: Matching) -> LevelLink:
-    """Merge mates into coarse vertices and clean up the hyperedge list.
+    """Merge mates into coarse vertices.
 
-    Coarse vertex weights are sums over the merged fine vertices; each
-    hyperedge maps its pins through the coarse ids. Hyperedges that
-    shrink to a single pin are dropped (they can never be cut) and
-    hyperedges with identical coarse pin sets fuse into one whose weight
-    is the sum of the group. Grouping keys on the pin tuple itself, so
-    equal hashes are always confirmed by a full pin comparison.
+    Coarse vertex weights are sums over the merged fine vertices, and the
+    hyperedges follow the fusion rule of :func:`~hypart.model.derive_hypergraph`:
+    those that shrink to a single pin are dropped and those with identical
+    coarse pin sets fuse with summed weights.
     """
-    coarse_id = m.coarse_id
-    nc = m.num_coarse
-    vertex_weight = [0] * nc
-    for v, w in enumerate(h.vertex_weight):
-        vertex_weight[coarse_id[v]] += w
-
-    groups: dict[Tuple[int, ...], int] = {}
-    pins_out: List[List[int]] = []
-    weight_out: List[int] = []
-    hits: List[int] = []
-    dropped = 0
-    for e, pins in enumerate(h.pins_by_hyperedge):
-        mapped = sorted({coarse_id[v] for v in pins})
-        if len(mapped) <= 1:
-            dropped += 1
-            continue
-        key = tuple(mapped)
-        idx = groups.get(key)
-        if idx is None:
-            groups[key] = len(pins_out)
-            pins_out.append(mapped)
-            weight_out.append(h.hyperedge_weight[e])
-            hits.append(1)
-        else:
-            weight_out[idx] += h.hyperedge_weight[e]
-            hits[idx] += 1
-    merged_groups = sum(1 for c in hits if c > 1)
-    coarse = Hypergraph(nc, pins_out, vertex_weight=vertex_weight,
-                        hyperedge_weight=weight_out)
-    return LevelLink(h, coarse, list(coarse_id), dropped, merged_groups)
+    coarse = derive_hypergraph(h, m.coarse_id, m.num_coarse)
+    return LevelLink(h, coarse, list(m.coarse_id))
 
 
 def cc_edge(h: Hypergraph, e: int) -> float:

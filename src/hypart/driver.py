@@ -28,8 +28,9 @@ from .coarsen import (LevelLink, contract, initial_threshold, match_in_cores,
                       match_noncore, update_threshold, ThresholdState)
 from .initpart import INIT_METHODS, generate_candidate, select_best
 from .model import (BalanceWindow, Hypergraph, InfeasibleBalanceError,
-                    Partition, max_imbalance, partition_cost, validate)
-from .refine import FM_BFM, FM_EE, refine_bipartition, project
+                    Partition, derive_hypergraph, max_imbalance,
+                    partition_cost, validate)
+from .refine import refine_bipartition, project
 from .roughset import build_edge_partitions, extract_cores
 
 PHASE_KEYS = ("overall", "build", "recursion", "vcycle", "hcg", "matching",
@@ -77,14 +78,6 @@ class RunStats:
     imbalance: float
     bisections: List[dict]
     seed: int
-
-    def to_dict(self) -> dict:
-        out = dict(self.phases)
-        out["cost"] = self.cost
-        out["imbalance"] = self.imbalance
-        out["bisections"] = self.bisections
-        out["seed"] = self.seed
-        return out
 
 
 class PhaseTimer:
@@ -157,7 +150,7 @@ def _bipartition_window(h: Hypergraph, cfg: PartitionConfig, rng: random.Random,
         for method in INIT_METHODS:
             for _ in range(INIT_REPEATS):
                 candidates.append(generate_candidate(current, method, rng, window=window))
-        p = select_best(candidates, current, window=window).copy()
+        p = select_best(candidates, current, window=window)
 
     with timer.phase("refinement"):
         _refine_level(current, p, window, level_pos=len(levels))
@@ -174,7 +167,7 @@ def _bipartition_window(h: Hypergraph, cfg: PartitionConfig, rng: random.Random,
         # into the window when the projected one sits outside it.
         with timer.phase("refinement"):
             for _ in range(6):
-                refine_bipartition(h, p, FM_EE, window=window, max_passes=1)
+                refine_bipartition(h, p, "fm-ee", window=window, max_passes=1)
                 if window.violation(p.part_weight[0]) == 0:
                     break
     if window.violation(p.part_weight[0]) > 0:
@@ -188,9 +181,9 @@ def _bipartition_window(h: Hypergraph, cfg: PartitionConfig, rng: random.Random,
 
 def _refine_level(h: Hypergraph, p: Partition, window: BalanceWindow,
                   level_pos: int) -> None:
-    refine_bipartition(h, p, FM_BFM, window=window)
+    refine_bipartition(h, p, "bfm", window=window)
     if level_pos < FMEE_FINEST_LEVELS:
-        refine_bipartition(h, p, FM_EE, window=window)
+        refine_bipartition(h, p, "fm-ee", window=window)
 
 
 def bipartition(h: Hypergraph, cfg: PartitionConfig,
@@ -233,33 +226,17 @@ def _quota_interval(k: int, avg_part: float, epsilon: float,
 def induce_subhypergraph(h: Hypergraph, p: Partition, part: int) -> Tuple[Hypergraph, List[int]]:
     """Vertex-induced sub-hypergraph of one part, densely renumbered.
 
-    Hyperedges are restricted to in-part pins and dropped when fewer
-    than two pins remain; restricted hyperedges that become identical
-    fuse with summed weights. Returns the sub-hypergraph and the map
-    from its vertex ids back to the ids of ``h``.
+    Hyperedges are restricted to in-part pins by the fusion rule of
+    :func:`~hypart.model.derive_hypergraph`: they are dropped when fewer
+    than two pins remain, and restrictions that become identical fuse
+    with summed weights. Returns the sub-hypergraph and the map from its
+    vertex ids back to the ids of ``h``.
     """
     back: List[int] = [v for v, a in enumerate(p.assignment) if a == part]
-    local = {v: i for i, v in enumerate(back)}
-    groups: dict[Tuple[int, ...], int] = {}
-    pins_out: List[List[int]] = []
-    weight_out: List[int] = []
-    assignment = p.assignment
-    for e, pins in enumerate(h.pins_by_hyperedge):
-        restricted = [local[v] for v in pins if assignment[v] == part]
-        if len(restricted) <= 1:
-            continue
-        key = tuple(restricted)
-        idx = groups.get(key)
-        if idx is None:
-            groups[key] = len(pins_out)
-            pins_out.append(restricted)
-            weight_out.append(h.hyperedge_weight[e])
-        else:
-            weight_out[idx] += h.hyperedge_weight[e]
-    vertex_weight = [h.vertex_weight[v] for v in back]
-    sub = Hypergraph(len(back), pins_out, vertex_weight=vertex_weight,
-                     hyperedge_weight=weight_out)
-    return sub, back
+    vertex_map = [-1] * h.num_vertices
+    for i, v in enumerate(back):
+        vertex_map[v] = i
+    return derive_hypergraph(h, vertex_map, len(back)), back
 
 
 def partition_kway(h: Hypergraph, cfg: PartitionConfig) -> Tuple[Partition, RunStats]:

@@ -15,7 +15,7 @@ from typing import List, Sequence
 
 from .model import (BalanceWindow, Hypergraph, InfeasibleBalanceError,
                     Partition, partition_cost)
-from .refine import FM_EE, refine_bipartition
+from .refine import refine_bipartition
 
 INIT_METHODS = ("random", "linear", "fm-seeded")
 
@@ -51,9 +51,10 @@ def generate_candidate(h: Hypergraph, method: str, rng: random.Random,
         assignment[seed_vertex] = 1
         p = Partition.from_assignment(h, 2, assignment)
         # Passes run until one changes nothing; the cap is a safety net.
-        refine_bipartition(h, p, FM_EE, window=window, max_passes=12)
-        _ensure_both_parts(h, p.assignment)
-        return Partition.from_assignment(h, 2, p.assignment)
+        refine_bipartition(h, p, "fm-ee", window=window, max_passes=12)
+        # FM never moves the last vertex off a side and keeps the part
+        # weights exact, so the result needs no repair.
+        return p
 
     assignment = [0] * n
     # Upper capacity per part; respecting both caps keeps the final

@@ -12,7 +12,7 @@ of a part weight from the average part weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 
 class InfeasibleBalanceError(RuntimeError):
@@ -102,6 +102,46 @@ class Hypergraph:
     def __repr__(self) -> str:  # pragma: no cover
         return (f"Hypergraph(V={self.num_vertices}, E={self.num_hyperedges}, "
                 f"pins={self.num_pins()})")
+
+
+def derive_hypergraph(h: Hypergraph, vertex_map: Sequence[int],
+                      num_vertices: int) -> Hypergraph:
+    """Hypergraph whose vertex ``vertex_map[v]`` absorbs vertex ``v`` of
+    ``h``; ``-1`` drops ``v``.
+
+    This is the one hyperedge-fusion rule of contraction and of
+    sub-hypergraph induction. Vertex weights add up over the absorbed
+    vertices. Each hyperedge maps its pins and loses those of dropped
+    vertices; it is dropped when fewer than two distinct pins remain (it
+    can never be cut), and hyperedges with identical pin sets fuse into
+    the first one seen, whose weight becomes the sum of the group.
+    Grouping keys on the pin tuple itself, so equal hashes are always
+    confirmed by a full pin comparison.
+    """
+    vertex_weight = [0] * num_vertices
+    for c, w in zip(vertex_map, h.vertex_weight):
+        if c >= 0:
+            vertex_weight[c] += w
+
+    image = vertex_map.__getitem__
+    groups: dict[Tuple[int, ...], int] = {}
+    pins_out: List[Tuple[int, ...]] = []
+    weight_out: List[int] = []
+    for pins, w in zip(h.pins_by_hyperedge, h.hyperedge_weight):
+        mapped = set(map(image, pins))
+        mapped.discard(-1)
+        if len(mapped) < 2:
+            continue
+        key = tuple(sorted(mapped))
+        idx = groups.get(key)
+        if idx is None:
+            groups[key] = len(pins_out)
+            pins_out.append(key)
+            weight_out.append(w)
+        else:
+            weight_out[idx] += w
+    return Hypergraph(num_vertices, pins_out, vertex_weight=vertex_weight,
+                      hyperedge_weight=weight_out)
 
 
 class Partition:

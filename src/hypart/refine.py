@@ -3,8 +3,8 @@
 Two pass flavours are supported. A boundary pass (``bfm``) only makes
 vertices that touch a cut hyperedge eligible to move, growing the
 eligible set as the boundary moves. An early-exit pass (``fm-ee``)
-starts with every vertex eligible and aborts once a configurable number
-of consecutive moves fails to produce a new best state. Both flavours
+starts with every vertex eligible and aborts once ``EARLY_EXIT_WINDOW``
+consecutive moves fail to produce a new best state. Both flavours
 move the maximum-gain admissible vertex, lock it, update neighbour gains
 incrementally and finally roll back to the best state seen, preferring
 balanced states and lower cost in that order. A move is admissible when
@@ -39,23 +39,17 @@ nonempty window, which :func:`fm_pass` checks.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from .coarsen import LevelLink
 from .model import BalanceWindow, Hypergraph, Partition
 
 
-@dataclass(frozen=True)
-class FmConfig:
-    mode: str = "bfm"            # "bfm" or "fm-ee"
-    max_passes: int = 2
-    early_exit_window: int = 50  # fm-ee only
-
-
-# The two pass flavours the partitioner runs.
-FM_BFM = FmConfig(mode="bfm")
-FM_EE = FmConfig(mode="fm-ee")
+# The two pass flavours: boundary FM and early-exit FM.
+FM_MODES = ("bfm", "fm-ee")
+# An fm-ee pass stops after this many consecutive moves without a new
+# best state.
+EARLY_EXIT_WINDOW = 50
 
 
 def project(p_coarse: Partition, link: LevelLink) -> Partition:
@@ -352,9 +346,10 @@ def _state_key(violation: float, cost: int) -> Tuple[int, float, int]:
     return (1, violation, cost)
 
 
-def fm_pass(h: Hypergraph, p: Partition, cfg: FmConfig, window: BalanceWindow,
+def fm_pass(h: Hypergraph, p: Partition, mode: str, window: BalanceWindow,
             audit: bool = False) -> Tuple[Partition, int]:
-    """Run one FM pass in place and return ``(p, cost_delta)``.
+    """Run one FM pass of flavour ``mode`` in place and return
+    ``(p, cost_delta)``.
 
     The delta is never positive when the input satisfies the balance
     window; from an unbalanced input the pass prioritises reducing the
@@ -362,13 +357,13 @@ def fm_pass(h: Hypergraph, p: Partition, cfg: FmConfig, window: BalanceWindow,
     """
     if p.k != 2:
         raise ValueError("fm_pass refines bipartitions only")
-    if cfg.mode not in ("bfm", "fm-ee"):
-        raise ValueError(f"unknown FM mode {cfg.mode!r}")
+    if mode not in FM_MODES:
+        raise ValueError(f"unknown FM mode {mode!r}; expected one of {FM_MODES}")
     if window.lower > window.upper:
         # Move selection relies on the window being a nonempty interval.
         raise ValueError("empty balance window")
 
-    state = _FmState(h, p, window, boundary_only=(cfg.mode == "bfm"))
+    state = _FmState(h, p, window, boundary_only=(mode == "bfm"))
     initial_cost = state.cost
     best_key = _state_key(window.violation(p.part_weight[0]), state.cost)
     best_cost = state.cost
@@ -392,7 +387,7 @@ def fm_pass(h: Hypergraph, p: Partition, cfg: FmConfig, window: BalanceWindow,
             stall = 0
         else:
             stall += 1
-            if cfg.mode == "fm-ee" and stall >= cfg.early_exit_window:
+            if mode == "fm-ee" and stall >= EARLY_EXIT_WINDOW:
                 break
 
     # Roll back to the best prefix.
@@ -406,15 +401,14 @@ def fm_pass(h: Hypergraph, p: Partition, cfg: FmConfig, window: BalanceWindow,
     return p, best_cost - initial_cost
 
 
-def refine_bipartition(h: Hypergraph, p: Partition, cfg: FmConfig,
-                       window: BalanceWindow,
-                       max_passes: Optional[int] = None) -> int:
-    """Run FM passes until a pass changes nothing; return the total delta."""
-    passes = max_passes if max_passes is not None else cfg.max_passes
+def refine_bipartition(h: Hypergraph, p: Partition, mode: str,
+                       window: BalanceWindow, max_passes: int = 2) -> int:
+    """Run up to ``max_passes`` FM passes of flavour ``mode``, stopping
+    early when a pass changes nothing; return the total delta."""
     total = 0
-    for _ in range(passes):
+    for _ in range(max_passes):
         violation_before = window.violation(p.part_weight[0])
-        _, delta = fm_pass(h, p, cfg, window)
+        _, delta = fm_pass(h, p, mode, window)
         total += delta
         if delta == 0 and window.violation(p.part_weight[0]) == violation_before:
             break

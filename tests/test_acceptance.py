@@ -18,7 +18,7 @@ from hypart import (Hypergraph, PartitionConfig, PHASE_KEYS, Partition,
                     build_edge_partitions, cc_edge, cc_hypergraph, contract,
                     extract_cores, fm_pass, info_value, match_in_cores,
                     match_noncore, max_imbalance, partition_cost,
-                    partition_kway, project, update_threshold, FmConfig,
+                    partition_kway, project, update_threshold,
                     BalanceWindow)
 from hypart.cli import main as cli_main
 from hypart.model import InfeasibleBalanceError
@@ -204,7 +204,7 @@ class TestCriterion4StructuralInvariants:
             if window.violation(p.part_weight[0]) == 0:
                 before = partition_cost(h, p)
                 mode = "bfm" if rng.random() < 0.5 else "fm-ee"
-                _, delta = fm_pass(h, p, FmConfig(mode=mode), window)
+                _, delta = fm_pass(h, p, mode, window)
                 after = partition_cost(h, p)
                 assert after <= before and after - before == delta
 

@@ -245,8 +245,6 @@ class TestContract:
         link = contract(h, Matching([None] * 4))
         assert link.coarse.num_vertices == 4
         assert link.coarse.pins_by_hyperedge == h.pins_by_hyperedge
-        assert link.dropped_unit_edges == 0
-        assert link.merged_edge_groups == 0
 
     def test_sample16_contraction(self, sample16):
         # Mate 3 with 7 and 11 with 15: the four identical-image
@@ -258,8 +256,6 @@ class TestContract:
         link = contract(sample16, Matching(mate))
         assert link.coarse.num_vertices == 14
         assert link.coarse.num_hyperedges == 13
-        assert link.dropped_unit_edges == 0
-        assert link.merged_edge_groups == 1
         assert max(link.coarse.hyperedge_weight) == 4
         assert sum(link.coarse.vertex_weight) == 16
 
@@ -273,7 +269,6 @@ class TestContract:
         h = Hypergraph(4, [[0, 1], [2, 3], [0, 2]])
         mate = [1, 0, 3, 2]
         link = contract(h, Matching(mate))
-        assert link.dropped_unit_edges == 2
         assert link.coarse.num_hyperedges == 1
         assert link.coarse.pins_by_hyperedge == [[0, 1]]
 

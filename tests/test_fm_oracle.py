@@ -6,14 +6,20 @@ descending order and, per gain and side, scans for the lowest-id
 admissible vertex. The engine in ``hypart.refine`` keeps incremental
 gains, per-side buckets and a lazy max-gain heap, and rejects a blocked
 side at once; it must make exactly the same moves.
+
+The fuzzed hypergraphs are small, so the fuzz draws the early-exit
+window of ``fm-ee`` passes from (1, 3, 50) by setting
+``hypart.refine.EARLY_EXIT_WINDOW``; with the default of 50 alone no
+pass could stop early.
 """
 
 import random
 
 import pytest
 
-from hypart import (BalanceWindow, FmConfig, Hypergraph, Partition, fm_pass,
+from hypart import (BalanceWindow, Hypergraph, Partition, fm_pass,
                     refine_bipartition)
+from hypart import refine
 from hypart.refine import FmAuditError, _FmState
 
 from conftest import naive_cost
@@ -78,7 +84,9 @@ def state_key(window, part_weight, cost):
 
 
 def reference_fm_pass(h, assignment, window, mode, early_exit_window):
-    """One pass on copies; returns ``(assignment, part_weight, delta)``."""
+    """One pass on copies; returns ``(assignment, part_weight, delta)``
+    plus the moves made in order and whether the early exit stopped the
+    pass while an admissible move was left."""
     assignment = list(assignment)
     part_weight = [0, 0]
     for v, part in enumerate(assignment):
@@ -96,6 +104,7 @@ def reference_fm_pass(h, assignment, window, mode, early_exit_window):
     history = []
     best_index = 0
     stall = 0
+    exited_early = False
     while True:
         v = reference_select(h, window, assignment, part_weight, eligible - locked)
         if v is None:
@@ -117,13 +126,15 @@ def reference_fm_pass(h, assignment, window, mode, early_exit_window):
         else:
             stall += 1
             if mode == "fm-ee" and stall >= early_exit_window:
+                exited_early = reference_select(
+                    h, window, assignment, part_weight, eligible - locked) is not None
                 break
     for v in reversed(history[best_index:]):
         b = assignment[v]
         assignment[v] = 1 - b
         part_weight[b] -= h.vertex_weight[v]
         part_weight[1 - b] += h.vertex_weight[v]
-    return assignment, part_weight, best_cost - initial
+    return assignment, part_weight, best_cost - initial, history, exited_early
 
 
 def reference_refine(h, assignment, window, mode, early_exit_window, max_passes):
@@ -131,7 +142,7 @@ def reference_refine(h, assignment, window, mode, early_exit_window, max_passes)
     for _ in range(max_passes):
         before = window.violation(sum(h.vertex_weight[v] for v, part in
                                       enumerate(assignment) if part == 0))
-        assignment, part_weight, delta = reference_fm_pass(
+        assignment, part_weight, delta, _, _ = reference_fm_pass(
             h, assignment, window, mode, early_exit_window)
         total += delta
         if delta == 0 and window.violation(part_weight[0]) == before:
@@ -185,42 +196,58 @@ def fuzz_cases(seed, count):
         h = weighted_hypergraph(rng)
         window = random_window(rng, h.total_vertex_weight)
         mode = rng.choice(("bfm", "fm-ee"))
-        cfg = FmConfig(mode=mode, early_exit_window=rng.choice((1, 3, 50)))
-        yield rng, h, window, cfg, random_start(rng, h)
+        exit_window = rng.choice((1, 3, 50))
+        yield rng, h, window, mode, exit_window, random_start(rng, h)
 
 
 class TestDifferentialFm:
-    def test_refine_bipartition_matches_reference(self):
-        for rng, h, window, cfg, start in fuzz_cases(101, 300):
+    def test_refine_bipartition_matches_reference(self, monkeypatch):
+        for rng, h, window, mode, exit_window, start in fuzz_cases(101, 300):
+            monkeypatch.setattr(refine, "EARLY_EXIT_WINDOW", exit_window)
             passes = rng.randint(1, 6)
-            expected = reference_refine(h, start, window, cfg.mode,
-                                        cfg.early_exit_window, passes)
+            expected = reference_refine(h, start, window, mode, exit_window, passes)
             p = Partition.from_assignment(h, 2, start)
-            delta = refine_bipartition(h, p, cfg, window=window, max_passes=passes)
+            delta = refine_bipartition(h, p, mode, window=window, max_passes=passes)
             assert (p.assignment, p.part_weight, delta) == expected
 
-    def test_audited_pass_matches_reference(self):
-        for _, h, window, cfg, start in fuzz_cases(202, 150):
-            expected = reference_fm_pass(h, start, window, cfg.mode, cfg.early_exit_window)
+    def test_audited_pass_matches_reference(self, monkeypatch):
+        moves = []
+        apply_move = _FmState.apply_move
+
+        def recorded(state, v):
+            moves.append(v)
+            apply_move(state, v)
+
+        monkeypatch.setattr(_FmState, "apply_move", recorded)
+        early_exits = 0
+        for _, h, window, mode, exit_window, start in fuzz_cases(202, 150):
+            monkeypatch.setattr(refine, "EARLY_EXIT_WINDOW", exit_window)
+            *expected, expected_moves, exited_early = reference_fm_pass(
+                h, start, window, mode, exit_window)
             p = Partition.from_assignment(h, 2, start)
-            _, delta = fm_pass(h, p, cfg, window=window, audit=True)
-            assert (p.assignment, p.part_weight, delta) == expected
+            moves.clear()
+            _, delta = fm_pass(h, p, mode, window=window, audit=True)
+            assert [p.assignment, p.part_weight, delta] == expected
+            assert moves == expected_moves
+            early_exits += exited_early
+        # Some fm-ee passes stop on the stall rule with moves left.
+        assert early_exits > 0
 
 
 class TestAdmissibility:
     def test_monotone_in_vertex_weight(self):
         # A lighter vertex on the same side is admissible whenever a
         # heavier one is; selection relies on it to reject a side at once.
-        for _, h, window, cfg, start in fuzz_cases(303, 300):
+        for _, h, window, mode, _, start in fuzz_cases(303, 300):
             p = Partition.from_assignment(h, 2, start)
-            state = _FmState(h, p, window, boundary_only=(cfg.mode == "bfm"))
+            state = _FmState(h, p, window, boundary_only=(mode == "bfm"))
             for side in (0, 1):
                 verdicts = [state.admissible(side, w)
                             for w in range(1, h.total_vertex_weight + 1)]
                 assert verdicts == sorted(verdicts, reverse=True)
 
     def test_matches_reference_per_vertex(self):
-        for _, h, window, cfg, start in fuzz_cases(404, 100):
+        for _, h, window, _, _, start in fuzz_cases(404, 100):
             p = Partition.from_assignment(h, 2, start)
             state = _FmState(h, p, window, boundary_only=False)
             for v in range(h.num_vertices):
@@ -230,7 +257,7 @@ class TestAdmissibility:
     def test_empty_window_rejected(self, path4):
         p = Partition.from_assignment(path4, 2, [0, 0, 1, 1])
         with pytest.raises(ValueError):
-            fm_pass(path4, p, FmConfig(), window=BalanceWindow(3.0, 1.0, 2.0))
+            fm_pass(path4, p, "bfm", window=BalanceWindow(3.0, 1.0, 2.0))
 
 
 class TestAudit:

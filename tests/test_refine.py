@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from hypart import (FmConfig, Hypergraph, Matching, Partition,
+from hypart import (Hypergraph, Matching, Partition,
                     contract, fm_pass, max_imbalance, partition_cost, project,
                     refine_bipartition)
 
@@ -33,7 +33,7 @@ class TestFmPass:
         h = Hypergraph(4, [[0, 1], [2, 3]])
         p = Partition.from_assignment(h, 2, [0, 0, 1, 1])
         before = list(p.assignment)
-        _, delta = fm_pass(h, p, FmConfig(mode="fm-ee"), symmetric_window(h, 0.1))
+        _, delta = fm_pass(h, p, "fm-ee", symmetric_window(h, 0.1))
         assert delta == 0
         assert p.assignment == before
 
@@ -42,7 +42,7 @@ class TestFmPass:
         # cost-1 split while ending balanced.
         p = Partition.from_assignment(path4, 2, [0, 1, 0, 1])
         assert partition_cost(path4, p) == 3
-        _, delta = fm_pass(path4, p, FmConfig(mode="fm-ee"), symmetric_window(path4, 0.1))
+        _, delta = fm_pass(path4, p, "fm-ee", symmetric_window(path4, 0.1))
         assert partition_cost(path4, p) == 1
         assert delta == -2
         assert max_imbalance(path4, p) <= 0.1
@@ -50,7 +50,7 @@ class TestFmPass:
     def test_bfm_with_empty_boundary(self):
         h = Hypergraph(4, [[0, 1], [2, 3]])
         p = Partition.from_assignment(h, 2, [0, 0, 1, 1])
-        _, delta = fm_pass(h, p, FmConfig(mode="bfm"), symmetric_window(h, 0.1))
+        _, delta = fm_pass(h, p, "bfm", symmetric_window(h, 0.1))
         assert delta == 0
         assert p.assignment == [0, 0, 1, 1]
 
@@ -64,7 +64,7 @@ class TestFmPass:
                 continue
             before = partition_cost(h, p)
             mode = "bfm" if rng.random() < 0.5 else "fm-ee"
-            _, delta = fm_pass(h, p, FmConfig(mode=mode), window)
+            _, delta = fm_pass(h, p, mode, window)
             after = partition_cost(h, p)
             assert after <= before
             assert after - before == delta
@@ -77,7 +77,7 @@ class TestFmPass:
             window = symmetric_window(h, 0.25)
             if window.violation(p.part_weight[0]) > 0:
                 continue
-            fm_pass(h, p, FmConfig(mode="fm-ee"), window)
+            fm_pass(h, p, "fm-ee", window)
             assert window.violation(p.part_weight[0]) == 0.0
 
     def test_incremental_gains_match_recomputation(self):
@@ -85,14 +85,14 @@ class TestFmPass:
         for _ in range(25):
             h = random_hypergraph(rng, min_vertices=5, size_weights=rng.random() < 0.5)
             p = balanced_random_partition(h, rng, 0.4)
-            fm_pass(h, p, FmConfig(mode="fm-ee"), symmetric_window(h, 0.4), audit=True)
+            fm_pass(h, p, "fm-ee", symmetric_window(h, 0.4), audit=True)
 
     def test_part_weight_consistency_after_pass(self):
         rng = random.Random(29)
         for _ in range(40):
             h = random_hypergraph(rng, min_vertices=5)
             p = balanced_random_partition(h, rng, 0.3)
-            fm_pass(h, p, FmConfig(mode="bfm"), symmetric_window(h, 0.3))
+            fm_pass(h, p, "bfm", symmetric_window(h, 0.3))
             q = Partition.from_assignment(h, 2, p.assignment)
             assert q.part_weight == p.part_weight
 
@@ -101,7 +101,7 @@ class TestFmPass:
         p.k = 3
         p.part_weight.append(0)
         with pytest.raises(ValueError):
-            fm_pass(path4, p, FmConfig(), symmetric_window(path4, 0.1))
+            fm_pass(path4, p, "bfm", symmetric_window(path4, 0.1))
 
     def test_repairs_unbalanced_input(self):
         # From a one-versus-rest seed the pass must walk toward balance.
@@ -109,7 +109,7 @@ class TestFmPass:
         assignment = [0] * 8
         assignment[5] = 1
         p = Partition.from_assignment(h, 2, assignment)
-        refine_bipartition(h, p, FmConfig(mode="fm-ee"), symmetric_window(h, 0.1),
+        refine_bipartition(h, p, "fm-ee", symmetric_window(h, 0.1),
                            max_passes=10)
         assert max_imbalance(h, p) <= 0.1
 
