@@ -31,7 +31,7 @@ from .model import (BalanceWindow, Hypergraph, InfeasibleBalanceError,
                     Partition, derive_hypergraph, max_imbalance,
                     partition_cost, validate)
 from .refine import refine_bipartition, project
-from .roughset import build_edge_partitions, extract_cores
+from .roughset import CoreDecomposition, build_edge_partitions, extract_cores
 
 PHASE_KEYS = ("overall", "build", "recursion", "vcycle", "hcg", "matching",
               "coarsening", "initpart", "refinement")
@@ -102,12 +102,50 @@ def _resolve_thresholds(cfg: PartitionConfig) -> Tuple[Optional[float], float, b
     return sim, float(cfg.clustering_threshold), False
 
 
+class _InputLevel:
+    """Seed-independent work on the input hypergraph of a set of runs.
+
+    Validation and the first coarsening level's threshold state and
+    cores depend only on the input and on the config without its seed,
+    so the runs of :func:`run_many` share them: the first run that needs
+    one computes it, inside its own phase timers, and later runs reuse
+    it.
+    """
+
+    def __init__(self, h: Hypergraph):
+        self.h = h
+        self.validated = False
+        self.first_level: Optional[Tuple[ThresholdState, CoreDecomposition]] = None
+
+
+def _cluster_level(h: Hypergraph, cfg: PartitionConfig, ts: Optional[ThresholdState],
+                   timer: PhaseTimer) -> Tuple[ThresholdState, CoreDecomposition]:
+    """Threshold state (seeded when ``ts`` is None), hyperedge clusters and
+    vertex cores of one coarsening level."""
+    sim_fixed, clus_c, drop_unit = _resolve_thresholds(cfg)
+    with timer.phase("hcg"):
+        if ts is None:
+            if sim_fixed is not None:
+                ts = ThresholdState(sim_fixed, h.avg_degree())
+            else:
+                ts = initial_threshold(h)
+        ep = build_edge_partitions(h, ts.s)
+    with timer.phase("matching"):
+        cores = extract_cores(h, ep, clus_c, drop_unit_clusters=drop_unit)
+    return ts, cores
+
+
 def _bipartition_window(h: Hypergraph, cfg: PartitionConfig, rng: random.Random,
-                        window: BalanceWindow, timer: PhaseTimer) -> Tuple[Partition, dict]:
-    """One full V-cycle on ``h`` targeting the given balance window."""
+                        window: BalanceWindow, timer: PhaseTimer,
+                        shared: Optional[_InputLevel] = None) -> Tuple[Partition, dict]:
+    """One full V-cycle on ``h`` targeting the given balance window.
+
+    When ``h`` is the input hypergraph of ``shared``, its first level's
+    threshold state and cores come from there.
+    """
     if h.num_vertices < 2:
         raise InfeasibleBalanceError("cannot bipartition fewer than two vertices")
-    sim_fixed, clus_c, drop_unit = _resolve_thresholds(cfg)
+    sim_fixed = _resolve_thresholds(cfg)[0]
 
     levels: List[LevelLink] = []
     ratios: List[float] = []
@@ -116,16 +154,13 @@ def _bipartition_window(h: Hypergraph, cfg: PartitionConfig, rng: random.Random,
     ts: Optional[ThresholdState] = None
 
     while current.num_vertices > COARSEST_SIZE and current.num_hyperedges > 0:
-        if ts is None:
-            with timer.phase("hcg"):
-                if sim_fixed is not None:
-                    ts = ThresholdState(sim_fixed, current.avg_degree())
-                else:
-                    ts = initial_threshold(current)
-        with timer.phase("hcg"):
-            ep = build_edge_partitions(current, ts.s)
+        if shared is not None and current is shared.h:
+            if shared.first_level is None:
+                shared.first_level = _cluster_level(current, cfg, ts, timer)
+            ts, cores = shared.first_level
+        else:
+            ts, cores = _cluster_level(current, cfg, ts, timer)
         with timer.phase("matching"):
-            cores = extract_cores(current, ep, clus_c, drop_unit_clusters=drop_unit)
             matching, leftovers = match_in_cores(current, cores, rng)
             matching = match_noncore(current, matching, leftovers, rng)
         if matching.num_coarse == current.num_vertices:
@@ -242,14 +277,22 @@ def induce_subhypergraph(h: Hypergraph, p: Partition, part: int) -> Tuple[Hyperg
 def partition_kway(h: Hypergraph, cfg: PartitionConfig) -> Tuple[Partition, RunStats]:
     """Partition ``h`` into ``cfg.k`` parts by recursive bisection."""
     cfg.validate()
+    return _partition_run(_InputLevel(h), cfg)
+
+
+def _partition_run(shared: _InputLevel, cfg: PartitionConfig) -> Tuple[Partition, RunStats]:
+    """One seeded run of :func:`partition_kway` on the input of ``shared``."""
+    h = shared.h
     timer = PhaseTimer()
     start = time.perf_counter()
     with timer.phase("build"):
-        problems = validate(h)
-        if problems:
-            raise ValueError("invalid hypergraph: " + "; ".join(problems[:5]))
-        if cfg.k > h.num_vertices:
-            raise ValueError(f"k={cfg.k} exceeds the number of vertices {h.num_vertices}")
+        if not shared.validated:
+            problems = validate(h)
+            if problems:
+                raise ValueError("invalid hypergraph: " + "; ".join(problems[:5]))
+            if cfg.k > h.num_vertices:
+                raise ValueError(f"k={cfg.k} exceeds the number of vertices {h.num_vertices}")
+            shared.validated = True
         avg_part = h.total_vertex_weight / cfg.k
         assignment = [0] * h.num_vertices
 
@@ -279,7 +322,7 @@ def partition_kway(h: Hypergraph, cfg: PartitionConfig) -> Tuple[Partition, RunS
                 f"empty balance window for a {k1}:{k2} split of weight {w_node}")
         target = min(max(w_node * k1 / k_node, lower), upper)
         window = BalanceWindow(float(lower), float(upper), target)
-        p, info = _bipartition_window(sub, cfg, rng, window, timer)
+        p, info = _bipartition_window(sub, cfg, rng, window, timer, shared)
         bisections.append(info)
         with timer.phase("recursion"):
             sub0, back0 = induce_subhypergraph(sub, p, 0)
@@ -317,15 +360,20 @@ def std_dev_percent(costs: List[int]) -> float:
 def run_many(h: Hypergraph, cfg: PartitionConfig) -> dict:
     """Run ``cfg.runs`` seeded repetitions and summarise them.
 
-    Repetition i uses seed ``cfg.seed + i``. The summary carries the
+    Repetition i uses seed ``cfg.seed + i`` and returns what
+    :func:`partition_kway` returns for that seed. The input is validated
+    once, and the threshold state and cores of its first coarsening
+    level, which no seed affects, are computed once in the first run, so
+    the phase times of later runs exclude them. The summary carries the
     best run (lowest cost, earliest seed on ties), the mean cost and the
     population standard deviation as a percentage of the mean.
     """
     cfg.validate()
+    shared = _InputLevel(h)
     results: List[Tuple[Partition, RunStats]] = []
     for i in range(cfg.runs):
         run_cfg = replace(cfg, seed=cfg.seed + i, runs=1)
-        results.append(partition_kway(h, run_cfg))
+        results.append(_partition_run(shared, run_cfg))
     costs = [stats.cost for _, stats in results]
     best_index = min(range(len(results)), key=lambda i: (costs[i], i))
     best_partition, best_stats = results[best_index]

@@ -142,6 +142,9 @@ class _FmState:
             sizes[part] += 1
         self.part_size = sizes
 
+        # Balance violation of the current part-0 weight; the window is
+        # fixed for the pass, so apply_move keeps it current.
+        self.violation = window.violation(p.part_weight[0])
         self.wmin = min(h.vertex_weight, default=1)
         self.wmax = h.max_vertex_weight()
         self.lo_soft = min(window.lower, window.target - self.wmax)
@@ -155,7 +158,7 @@ class _FmState:
         w0_after = w0 - weight if side == 0 else w0 + weight
         if self.lo_soft - 1e-9 <= w0_after <= self.hi_soft + 1e-9:
             return True
-        return self.window.violation(w0_after) < self.window.violation(w0) - 1e-12
+        return self.window.violation(w0_after) < self.violation - 1e-12
 
     def _side_best(self, a: int) -> Optional[Tuple[int, int]]:
         """``(gain, vertex)`` of the best admissible move off side ``a``:
@@ -297,6 +300,7 @@ class _FmState:
         assignment[v] = b
         p.part_weight[a] -= weight
         p.part_weight[b] += weight
+        self.violation = self.window.violation(p.part_weight[0])
         self.part_size[a] -= 1
         self.part_size[b] += 1
 
@@ -311,6 +315,8 @@ class _FmState:
             raise FmAuditError("incremental pin count drift")
         if cost != self.cost:
             raise FmAuditError(f"incremental cost drift: {self.cost} != {cost}")
+        if self.violation != self.window.violation(self.p.part_weight[0]):
+            raise FmAuditError("stale balance violation")
         # Gains of locked vertices are not maintained; check the rest.
         for u in range(h.num_vertices):
             if not self.locked[u] and self.gains[u] != fresh[u]:
@@ -365,7 +371,7 @@ def fm_pass(h: Hypergraph, p: Partition, mode: str, window: BalanceWindow,
 
     state = _FmState(h, p, window, boundary_only=(mode == "bfm"))
     initial_cost = state.cost
-    best_key = _state_key(window.violation(p.part_weight[0]), state.cost)
+    best_key = _state_key(state.violation, state.cost)
     best_cost = state.cost
     best_index = 0
     history: List[int] = []
@@ -379,7 +385,7 @@ def fm_pass(h: Hypergraph, p: Partition, mode: str, window: BalanceWindow,
             break
         state.apply_move(v)
         history.append(v)
-        key = _state_key(window.violation(p.part_weight[0]), state.cost)
+        key = _state_key(state.violation, state.cost)
         if key < best_key:
             best_key = key
             best_cost = state.cost

@@ -110,6 +110,13 @@ def build_edge_partitions(h: Hypergraph, s: float) -> EdgePartitioning:
     Clusters are grown breadth-first from each still-unassigned
     hyperedge; because they are full connected components, the visiting
     order does not change the result.
+
+    ``open_edges[v]`` counts the hyperedges of ``v`` that no cluster
+    holds yet, and the walk skips pins whose count is 0. The skip is
+    exact: every pin an unassigned hyperedge shares with the one being
+    expanded still has that hyperedge open, so every overlap is counted.
+    Once a giant cluster has formed, a vertex is walked only while some
+    hyperedge of it is still open.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"similarity threshold must lie in (0, 1), got {s}")
@@ -122,12 +129,15 @@ def build_edge_partitions(h: Hypergraph, s: float) -> EdgePartitioning:
     by_edge = h.pins_by_hyperedge
     by_vertex = h.pins_by_vertex
     overlap = [0] * m
+    open_edges = [len(incident) for incident in by_vertex]
 
     for seed in range(m):
         if cluster_of[seed] != -1:
             continue
         c_id = len(clusters)
         cluster_of[seed] = c_id
+        for v in by_edge[seed]:
+            open_edges[v] -= 1
         members = [seed]
         queue = deque([seed])
         queue_pop = queue.popleft
@@ -140,18 +150,23 @@ def build_edge_partitions(h: Hypergraph, s: float) -> EdgePartitioning:
             touched = []
             touch = touched.append
             for v in pins:
+                if not open_edges[v]:
+                    continue
                 for e2 in by_vertex[v]:
-                    if e2 != e and cluster_of[e2] == -1:
+                    if cluster_of[e2] == -1:
                         if overlap[e2] == 0:
                             touch(e2)
                         overlap[e2] += 1
             for e2 in touched:
                 inter = overlap[e2]
                 overlap[e2] = 0
-                union = size_e + len(by_edge[e2]) - inter
+                pins2 = by_edge[e2]
+                union = size_e + len(pins2) - inter
                 sim = (inter / union) * ((w_e + weights[e2]) / scale_den)
                 if sim >= s:
                     cluster_of[e2] = c_id
+                    for v in pins2:
+                        open_edges[v] -= 1
                     members.append(e2)
                     queue_push(e2)
         clusters.append(sorted(members))

@@ -308,7 +308,67 @@ def random_matching(h, rng):
     return Matching(mate)
 
 
+def reference_cc_edge(h, e):
+    """The clustering coefficient of hyperedge ``e`` by its definition:
+    the overlap-weighted sum over the other hyperedges that share a pin
+    with ``e``, over their total weight counted once per shared pin."""
+    pins = h.pins_by_hyperedge[e]
+    size = len(pins)
+    if size <= 1:
+        return 0.0
+    weights = h.hyperedge_weight
+    overlap = {}
+    denom = 0
+    for v in pins:
+        for e2 in h.pins_by_vertex[v]:
+            if e2 == e:
+                continue
+            overlap[e2] = overlap.get(e2, 0) + 1
+            denom += weights[e2]
+    if denom == 0:
+        return 0.0
+    numer = sum((cnt / (size - 1)) * weights[e2] for e2, cnt in overlap.items())
+    return numer / denom
+
+
+def cc_oracle_hypergraph(rng):
+    """Random weighted hypergraph for the CC oracle: unit-size and
+    isolated hyperedges are common, and some draws add a dense row (one
+    vertex in every hyperedge of size two or more)."""
+    n = rng.randint(2, 16)
+    pins = []
+    for _ in range(rng.randint(1, 14)):
+        if rng.random() < 0.15:
+            pins.append([rng.randrange(n)])
+        else:
+            pins.append(sorted(rng.sample(range(n), rng.randint(2, min(6, n)))))
+    if rng.random() < 0.3:
+        hub = rng.randrange(n)
+        pins = [sorted(set(p) | {hub}) if len(p) > 1 else p for p in pins]
+    if rng.random() < 0.3:
+        # A hyperedge on fresh vertices shares no pin with any other.
+        pins.append([n, n + 1, n + 2][:rng.randint(1, 3)])
+        n += 3
+    weights = [rng.randint(1, 9) for _ in pins]
+    return Hypergraph(n, pins, hyperedge_weight=weights)
+
+
 class TestClusteringCoefficient:
+    def test_matches_reference_walk(self):
+        rng = random.Random(131)
+        isolated = unit = dense = 0
+        for _ in range(500):
+            h = cc_oracle_hypergraph(rng)
+            want = [reference_cc_edge(h, e) for e in range(h.num_hyperedges)]
+            for e, ref in enumerate(want):
+                assert abs(cc_edge(h, e) - ref) <= 1e-12
+                size = h.edge_size(e)
+                unit += size == 1
+                isolated += size > 1 and ref == 0.0
+            assert abs(cc_hypergraph(h) - sum(want) / len(want)) <= 1e-12
+            dense += any(h.degree(v) == h.num_hyperedges > 3 for v in range(h.num_vertices))
+        assert isolated and unit and dense
+
     def test_unit_hyperedge_is_zero(self):
         h = Hypergraph(3, [[0], [0, 1], [1, 2]])
         assert cc_edge(h, 0) == 0.0

@@ -1,6 +1,7 @@
 """V-cycle, recursive bisection and run summaries."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -221,3 +222,69 @@ class TestRunMany:
         assert std_dev_percent([10, 14]) == pytest.approx(100 * 2 / 12)
         assert std_dev_percent([5]) == 0.0
         assert std_dev_percent([7, 7, 7]) == 0.0
+
+
+class TestSharedInputLevel:
+    # The input's validation and its first level's threshold state,
+    # clusters and cores do not depend on the seed, so run_many does them
+    # once however many runs it makes.
+    CONFIGS = [
+        PartitionConfig(k=4, epsilon=0.05, seed=3, runs=3),
+        PartitionConfig(k=4, epsilon=0.05, seed=3, runs=3,
+                        similarity_threshold=0.5, clustering_threshold=0.5),
+    ]
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["auto", "fixed"])
+    def test_input_work_done_once(self, monkeypatch, cfg):
+        import hypart.driver as drv
+
+        h = grid_hypergraph(16, 16)
+        calls = {}
+
+        def counting(name):
+            original = getattr(drv, name)
+
+            def wrapper(*args, **kwargs):
+                if args[0] is h:
+                    calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("validate", "initial_threshold", "build_edge_partitions",
+                     "extract_cores"):
+            monkeypatch.setattr(drv, name, counting(name))
+        summary = run_many(h, cfg)
+        assert len(summary["runs"]) == 3
+        expected = {"validate": 1, "build_edge_partitions": 1, "extract_cores": 1}
+        if cfg.similarity_threshold == "auto":
+            expected["initial_threshold"] = 1
+        assert calls == expected
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["auto", "fixed"])
+    def test_runs_match_single_seed_runs(self, monkeypatch, cfg):
+        import hypart.driver as drv
+
+        h = grid_hypergraph(16, 16)
+        # Each run checks the balance of its final k-way partition once;
+        # that call exposes the assignment of every run, not only the best.
+        finals = []
+        original = drv.max_imbalance
+
+        def recording(graph, p):
+            if graph is h:
+                finals.append(list(p.assignment))
+            return original(graph, p)
+
+        monkeypatch.setattr(drv, "max_imbalance", recording)
+        summary = run_many(h, cfg)
+        monkeypatch.undo()
+        assert len(finals) == cfg.runs
+        for i, stats in enumerate(summary["runs"]):
+            p, single = partition_kway(h, replace(cfg, seed=cfg.seed + i, runs=1))
+            assert finals[i] == p.assignment
+            assert stats.cost == single.cost
+            assert stats.seed == single.seed
+            assert stats.bisections == single.bisections
+        for stats in summary["runs"]:
+            for key in PHASE_KEYS[1:]:
+                assert stats.phases["overall"] >= stats.phases[key] - 1e-9

@@ -305,3 +305,9 @@ class TestAudit:
         state.in_struct[2] = False
         with pytest.raises(FmAuditError):
             state.audit()
+
+    def test_detects_stale_violation(self):
+        state = self.fresh_state()
+        state.violation += 1.0
+        with pytest.raises(FmAuditError):
+            state.audit()

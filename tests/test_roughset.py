@@ -252,6 +252,26 @@ def reference_signature(h, ep, v, c, drop_unit_clusters):
         and reduced_value(h, ep, v, c_id) / degree >= c)
 
 
+def dense_row_hypergraph(rng):
+    """Random weighted hypergraph in which one vertex (a dense row of the
+    matrix) sits in every hyperedge."""
+    n = rng.randint(3, 24)
+    hub = rng.randrange(n)
+    pins = [sorted({hub} | set(rng.sample(range(n), rng.randint(1, min(5, n)))))
+            for _ in range(rng.randint(1, 30))]
+    return Hypergraph(n, pins, hyperedge_weight=[rng.randint(1, 3) for _ in pins])
+
+
+def half_empty_hypergraph(rng):
+    """Random weighted hypergraph in which every other vertex (an empty
+    row of the matrix) is isolated."""
+    n = 2 * rng.randint(2, 12)
+    live = list(range(0, n, 2))
+    pins = [sorted(rng.sample(live, rng.randint(1, min(5, len(live)))))
+            for _ in range(rng.randint(1, 30))]
+    return Hypergraph(n, pins, hyperedge_weight=[rng.randint(1, 3) for _ in pins])
+
+
 class TestClusteringOracle:
     # Thresholds include exact ratios so that similarities and shares
     # land on the boundary.
@@ -268,6 +288,23 @@ class TestClusteringOracle:
                 f"trial {trial}"
             for c_id, members in enumerate(ep.clusters):
                 assert all(ep.cluster_of[e] == c_id for e in members)
+
+    @pytest.mark.parametrize("generator", [dense_row_hypergraph, half_empty_hypergraph],
+                             ids=["dense-row", "half-empty"])
+    @pytest.mark.parametrize("s", [0.05, 0.9])
+    def test_skewed_degrees(self, generator, s):
+        # At 0.05 most draws form one giant cluster, so later expansions
+        # meet vertices with no open hyperedge left; at 0.9 nearly every
+        # cluster is a single hyperedge.
+        rng = random.Random(79)
+        giant = 0
+        for trial in range(150):
+            h = generator(rng)
+            ep = build_edge_partitions(h, s)
+            assert {frozenset(c) for c in ep.clusters} == reference_clusters(h, s), \
+                f"trial {trial}"
+            giant += h.num_hyperedges > 2 and len(ep.clusters) == 1
+        assert (giant > 0) == (s < 0.5)
 
     def test_cores_group_reference_signatures(self):
         rng = random.Random(73)
