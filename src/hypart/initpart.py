@@ -33,6 +33,14 @@ def _ensure_both_parts(h: Hypergraph, assignment: List[int]) -> None:
                     break
 
 
+class _CostedCandidate(Partition):
+    """A candidate that carries the cut cost FM tracked while growing it,
+    so that :func:`select_best` need not recount it. ``cost`` is the cost
+    at generation; later moves do not update it."""
+
+    __slots__ = ("cost",)
+
+
 def generate_candidate(h: Hypergraph, method: str, rng: random.Random,
                        window: BalanceWindow) -> Partition:
     """Produce one 2-way candidate with the given method."""
@@ -49,9 +57,13 @@ def generate_candidate(h: Hypergraph, method: str, rng: random.Random,
         seed_vertex = rng.randrange(n)
         assignment = [0] * n
         assignment[seed_vertex] = 1
-        p = Partition.from_assignment(h, 2, assignment)
+        p = _CostedCandidate.from_assignment(h, 2, assignment)
+        # The lone seed cuts every hyperedge it shares with another pin.
+        seed_cost = sum(h.hyperedge_weight[e] for e in h.pins_by_vertex[seed_vertex]
+                        if len(h.pins_by_hyperedge[e]) > 1)
         # Passes run until one changes nothing; the cap is a safety net.
-        refine_bipartition(h, p, "fm-ee", window=window, max_passes=12)
+        p.cost = seed_cost + refine_bipartition(h, p, "fm-ee", window=window,
+                                                max_passes=12)
         # FM never moves the last vertex off a side and keeps the part
         # weights exact, so the result needs no repair.
         return p
@@ -100,7 +112,10 @@ def select_best(candidates: Sequence[Partition], h: Hypergraph,
     Among candidates inside the balance window the minimum-cost one wins
     (ties go to the earliest candidate); if none is balanced, the one
     with the smallest violation wins and refinement is expected to
-    repair the balance.
+    repair the balance. An ``fm-seeded`` candidate of
+    :func:`generate_candidate` carries the cost FM tracked for it, the
+    seed's cost plus the refinement delta; other candidates are counted
+    here.
     """
     if not candidates:
         raise ValueError("select_best needs at least one candidate")
@@ -109,7 +124,8 @@ def select_best(candidates: Sequence[Partition], h: Hypergraph,
     for index, p in enumerate(candidates):
         violation = window.violation(p.part_weight[0])
         if violation == 0.0:
-            key = (0, partition_cost(h, p), index)
+            cost = p.cost if isinstance(p, _CostedCandidate) else partition_cost(h, p)
+            key = (0, cost, index)
         else:
             key = (1, violation, index)
         if best_key is None or key < best_key:

@@ -148,7 +148,8 @@ class Partition:
     """A k-way vertex assignment with cached part weights.
 
     A partition is mutated only by its owner (the refinement pass that is
-    working on it); shared partitions must be copied first.
+    working on it); to share one, build a new partition from a copy of
+    its assignment first.
     """
 
     __slots__ = ("k", "assignment", "part_weight")
@@ -164,9 +165,6 @@ class Partition:
         for v, p in enumerate(assignment):
             weights[p] += h.vertex_weight[v]
         return cls(k, assignment, weights)
-
-    def copy(self) -> "Partition":
-        return Partition(self.k, self.assignment, self.part_weight)
 
     def part_sizes(self) -> List[int]:
         sizes = [0] * self.k

@@ -67,27 +67,20 @@ def _recount(h: Hypergraph, assignment: List[int]) -> Tuple[List[int], List[int]
     The gain of a vertex is the cost drop of moving it alone to the other
     part: an incident hyperedge adds its weight when the other part
     already holds a pin of it, and subtracts it when the vertex's own
-    part keeps another pin of it.
+    part keeps another pin of it. ``to1[e]`` is that contribution for a
+    pin of ``e`` in part 0, ``to0[e]`` for a pin in part 1.
     """
-    count0: List[int] = []
-    gains = [0] * h.num_vertices
-    cost = 0
     side_of = assignment.__getitem__
-    for pins, w in zip(h.pins_by_hyperedge, h.hyperedge_weight):
-        sides = list(map(side_of, pins))
-        c1 = sum(sides)
-        c0 = len(pins) - c1
-        count0.append(c0)
-        g0 = w * ((c1 > 0) - (c0 > 1))
-        g1 = w * ((c0 > 0) - (c1 > 1))
-        if c0 and c1:
-            cost += w
-            for v, s in zip(pins, sides):
-                gains[v] += g1 if s else g0
-        else:
-            g = g1 if c1 else g0
-            for v in pins:
-                gains[v] += g
+    by_edge = h.pins_by_hyperedge
+    weights = h.hyperedge_weight
+    count1 = [sum(map(side_of, pins)) for pins in by_edge]
+    count0 = [len(pins) - c1 for pins, c1 in zip(by_edge, count1)]
+    to1 = [w * ((c1 > 0) - (c0 > 1)) for w, c0, c1 in zip(weights, count0, count1)]
+    to0 = [w * ((c0 > 0) - (c1 > 1)) for w, c0, c1 in zip(weights, count0, count1)]
+    cost = sum([w for w, c0, c1 in zip(weights, count0, count1) if c0 and c1])
+    lookup = (to1.__getitem__, to0.__getitem__)
+    gains = [sum(map(lookup[a], incident))
+             for a, incident in zip(assignment, h.pins_by_vertex)]
     return count0, gains, cost
 
 

@@ -14,6 +14,7 @@ first when looking for contraction pairs.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -117,6 +118,18 @@ def build_edge_partitions(h: Hypergraph, s: float) -> EdgePartitioning:
     expanded still has that hyperedge open, so every overlap is counted.
     Once a giant cluster has formed, a vertex is walked only while some
     hyperedge of it is still open.
+
+    On weighted levels the walk is also pruned by weight. The similarity
+    of ``e`` and ``e2`` is ``fl(J * f)`` with ``J = inter / union <= 1``
+    and ``f = (w(e) + w(e2)) / (2 * max weight)``. Rounding is monotone,
+    so ``sim <= f``, and ``f`` grows with ``w(e2)``. Hence no partner
+    lighter than the lightest weight whose ``f`` reaches ``s`` can join
+    ``e``'s cluster, and dropping it changes no cluster. When the two
+    lightest weights together already reach ``s`` nothing is prunable,
+    and the walk runs as above. Otherwise each vertex's hyperedges are
+    sorted heaviest first, once per call, and every incidence walk from
+    ``e`` stops at the first partner lighter than that bound. Clusters
+    are still verified by the full ``sim >= s`` expression.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"similarity threshold must lie in (0, 1), got {s}")
@@ -127,7 +140,14 @@ def build_edge_partitions(h: Hypergraph, s: float) -> EdgePartitioning:
     scale_den = 2.0 * max_w
     weights = h.hyperedge_weight
     by_edge = h.pins_by_hyperedge
-    by_vertex = h.pins_by_vertex
+    # Whether some pair fails on its weight factor alone.
+    pruned = 2 * min(weights, default=max_w) / scale_den < s
+    if pruned:
+        heaviest_first = weights.__getitem__
+        by_vertex = [sorted(incident, key=heaviest_first, reverse=True)
+                     for incident in h.pins_by_vertex]
+    else:
+        by_vertex = h.pins_by_vertex
     overlap = [0] * m
     open_edges = [len(incident) for incident in by_vertex]
 
@@ -149,14 +169,27 @@ def build_edge_partitions(h: Hypergraph, s: float) -> EdgePartitioning:
             w_e = weights[e]
             touched = []
             touch = touched.append
-            for v in pins:
-                if not open_edges[v]:
-                    continue
-                for e2 in by_vertex[v]:
-                    if cluster_of[e2] == -1:
-                        if overlap[e2] == 0:
-                            touch(e2)
-                        overlap[e2] += 1
+            if pruned:
+                lightest = _lightest_partner(w_e, scale_den, s)
+                for v in pins:
+                    if not open_edges[v]:
+                        continue
+                    for e2 in by_vertex[v]:
+                        if weights[e2] < lightest:
+                            break
+                        if cluster_of[e2] == -1:
+                            if overlap[e2] == 0:
+                                touch(e2)
+                            overlap[e2] += 1
+            else:
+                for v in pins:
+                    if not open_edges[v]:
+                        continue
+                    for e2 in by_vertex[v]:
+                        if cluster_of[e2] == -1:
+                            if overlap[e2] == 0:
+                                touch(e2)
+                            overlap[e2] += 1
             for e2 in touched:
                 inter = overlap[e2]
                 overlap[e2] = 0
@@ -173,6 +206,18 @@ def build_edge_partitions(h: Hypergraph, s: float) -> EdgePartitioning:
 
     cluster_size = [len(members) for members in clusters]
     return EdgePartitioning(cluster_of, clusters, cluster_size)
+
+
+def _lightest_partner(w_e: int, scale_den: float, s: float) -> int:
+    """Smallest positive integer weight ``w`` with
+    ``(w_e + w) / scale_den >= s``: the weight factor of the similarity,
+    evaluated as it is there."""
+    w = max(1, math.ceil(s * scale_den) - w_e)
+    while w > 1 and (w_e + w - 1) / scale_den >= s:
+        w -= 1
+    while (w_e + w) / scale_den < s:
+        w += 1
+    return w
 
 
 def reduced_value(h: Hypergraph, ep: EdgePartitioning, v: int, c_id: int) -> int:

@@ -20,9 +20,9 @@ import pytest
 from hypart import (BalanceWindow, Hypergraph, Partition, fm_pass,
                     refine_bipartition)
 from hypart import refine
-from hypart.refine import FmAuditError, _FmState
+from hypart.refine import FmAuditError, _FmState, _recount
 
-from conftest import naive_cost
+from conftest import naive_cost, random_weighted_hypergraph
 
 
 def reference_gains(h, assignment):
@@ -34,6 +34,29 @@ def reference_gains(h, assignment):
             other = len(pins) - own
             gains[v] += w * ((1 if other > 0 else 0) - (1 if own > 1 else 0))
     return gains
+
+
+def reference_recount(h, assignment):
+    """Pin counts, gains and cost pin by pin, as ``_recount`` defines them."""
+    count0 = []
+    gains = [0] * h.num_vertices
+    cost = 0
+    for pins, w in zip(h.pins_by_hyperedge, h.hyperedge_weight):
+        sides = [assignment[v] for v in pins]
+        c1 = sum(sides)
+        c0 = len(pins) - c1
+        count0.append(c0)
+        g0 = w * ((c1 > 0) - (c0 > 1))
+        g1 = w * ((c0 > 0) - (c1 > 1))
+        if c0 and c1:
+            cost += w
+            for v, s in zip(pins, sides):
+                gains[v] += g1 if s else g0
+        else:
+            g = g1 if c1 else g0
+            for v in pins:
+                gains[v] += g
+    return count0, gains, cost
 
 
 def reference_admissible(h, window, assignment, part_weight, v):
@@ -232,6 +255,30 @@ class TestDifferentialFm:
             early_exits += exited_early
         # Some fm-ee passes stop on the stall rule with moves left.
         assert early_exits > 0
+
+
+class TestRecount:
+    def test_matches_scalar_recount(self):
+        # The audit compares the incremental state with _recount, so
+        # _recount itself is checked against the scalar loop here.
+        rng = random.Random(505)
+        for trial in range(400):
+            if trial % 2:
+                h = weighted_hypergraph(rng)
+            else:
+                h = random_weighted_hypergraph(rng, max_weight=9)
+            n = h.num_vertices
+            kind = rng.choice(("random", "all-0", "all-1", "lone"))
+            if kind == "random":
+                assignment = [rng.randrange(2) for _ in range(n)]
+            else:
+                assignment = [1 if kind == "all-1" else 0] * n
+                if kind == "lone":
+                    assignment[rng.randrange(n)] = 1
+            expected = reference_recount(h, assignment)
+            assert _recount(h, assignment) == expected, f"trial {trial}"
+            assert expected[1] == reference_gains(h, assignment), f"trial {trial}"
+            assert expected[2] == naive_cost(h, assignment), f"trial {trial}"
 
 
 class TestAdmissibility:

@@ -8,7 +8,8 @@ from hypart import (Hypergraph, InfeasibleBalanceError,
                     Partition, generate_candidate, max_imbalance,
                     partition_cost, select_best)
 
-from conftest import FixedOrderRng, random_hypergraph, symmetric_window
+from conftest import (FixedOrderRng, random_hypergraph, random_weighted_hypergraph,
+                      symmetric_window)
 
 
 class TestGenerateCandidate:
@@ -107,3 +108,24 @@ class TestSelectBest:
             for p in candidates:
                 if window.violation(p.part_weight[0]) == 0:
                     assert best_cost <= partition_cost(h, p)
+
+    def test_matches_selection_by_recount(self):
+        # fm-seeded candidates carry the cost FM tracked; it must be the
+        # exact cut cost, so selection equals selection by recount.
+        rng = random.Random(67)
+        checked = 0
+        for trial in range(200):
+            h = random_weighted_hypergraph(rng, max_weight=9)
+            if h.num_vertices < 2:
+                continue
+            window = symmetric_window(h, rng.choice((0.02, 0.1, 0.3)))
+            candidates = [generate_candidate(h, method, rng, window=window)
+                          for method in ("random", "linear", "fm-seeded", "fm-seeded")]
+            for p in candidates[2:]:
+                assert p.cost == partition_cost(h, p), f"trial {trial}"
+                checked += 1
+            keys = [(0, partition_cost(h, p), i) if window.violation(p.part_weight[0]) == 0
+                    else (1, window.violation(p.part_weight[0]), i)
+                    for i, p in enumerate(candidates)]
+            assert select_best(candidates, h, window=window) is candidates[min(keys)[2]]
+        assert checked > 300

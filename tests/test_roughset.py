@@ -7,6 +7,7 @@ import pytest
 
 from hypart import (Hypergraph, build_edge_partitions, extract_cores,
                     hyperedge_similarity, info_value, reduced_value)
+from hypart import roughset
 
 from conftest import (SAMPLE16_CLUSTERS, SAMPLE16_CORES, SAMPLE16_NON_CORE,
                       SAMPLE16_SINGLETONS, random_hypergraph,
@@ -272,6 +273,28 @@ def half_empty_hypergraph(rng):
     return Hypergraph(n, pins, hyperedge_weight=[rng.randint(1, 3) for _ in pins])
 
 
+def heavy_tailed_hypergraph(rng):
+    """Random hypergraph whose hyperedge weights are their pin counts,
+    except one outlier about 20 times heavier than the largest."""
+    h = random_weighted_hypergraph(rng)
+    weights = [len(pins) for pins in h.pins_by_hyperedge]
+    weights[rng.randrange(len(weights))] = rng.randint(18, 22) * max(weights)
+    return Hypergraph(h.num_vertices, h.pins_by_hyperedge, hyperedge_weight=weights)
+
+
+def count_pruned_walks(monkeypatch):
+    """Count calls of the weight bound, which only the pruned walk makes."""
+    calls = []
+    bound = roughset._lightest_partner
+
+    def counted(*args):
+        calls.append(args)
+        return bound(*args)
+
+    monkeypatch.setattr(roughset, "_lightest_partner", counted)
+    return calls
+
+
 class TestClusteringOracle:
     # Thresholds include exact ratios so that similarities and shares
     # land on the boundary.
@@ -288,6 +311,39 @@ class TestClusteringOracle:
                 f"trial {trial}"
             for c_id, members in enumerate(ep.clusters):
                 assert all(ep.cluster_of[e] == c_id for e in members)
+
+    @pytest.mark.parametrize("s", SIMILARITIES)
+    def test_heavy_tailed_weights(self, monkeypatch, s):
+        # Light pairs fail on their weight factor alone, so the walk
+        # stops early; the clusters must not change.
+        calls = count_pruned_walks(monkeypatch)
+        rng = random.Random(83)
+        pruned = 0
+        for trial in range(150):
+            h = heavy_tailed_hypergraph(rng)
+            calls.clear()
+            ep = build_edge_partitions(h, s)
+            assert {frozenset(c) for c in ep.clusters} == reference_clusters(h, s), \
+                f"trial {trial}"
+            pruned += bool(calls)
+        assert pruned > 0.75 * 150
+
+    @pytest.mark.parametrize("s, light, heavy, outlier", [
+        (0.05, 1, 3, 40), (0.3, 2, 4, 10), (0.5, 4, 6, 10), (0.9, 8, 10, 10)])
+    def test_weight_bound_tie(self, monkeypatch, s, light, heavy, outlier):
+        # Two identical pin sets whose weight factor equals s exactly:
+        # their similarity is s, so they must share a cluster, whichever
+        # of them is expanded first. No other hyperedge touches them.
+        assert (light + heavy) / (2.0 * outlier) == s
+        calls = count_pruned_walks(monkeypatch)
+        for weights in ([light, heavy, outlier, 1], [heavy, light, outlier, 1]):
+            h = Hypergraph(7, [[0, 1, 2], [0, 1, 2], [3, 4, 5], [5, 6]],
+                           hyperedge_weight=weights)
+            calls.clear()
+            ep = build_edge_partitions(h, s)
+            assert calls
+            assert ep.cluster_of[0] == ep.cluster_of[1]
+            assert {frozenset(c) for c in ep.clusters} == reference_clusters(h, s)
 
     @pytest.mark.parametrize("generator", [dense_row_hypergraph, half_empty_hypergraph],
                              ids=["dense-row", "half-empty"])
