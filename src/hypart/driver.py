@@ -33,7 +33,7 @@ from .model import (BalanceWindow, Hypergraph, InfeasibleBalanceError,
 from .refine import refine_bipartition, project
 from .roughset import CoreDecomposition, build_edge_partitions, extract_cores
 
-PHASE_KEYS = ("overall", "build", "recursion", "vcycle", "hcg", "matching",
+PHASE_KEYS = ("overall", "build", "recursion", "projection", "hcg", "matching",
               "coarsening", "initpart", "refinement")
 
 # Coarsening stops when a level compresses by less than this factor.
@@ -137,14 +137,14 @@ def _cluster_level(h: Hypergraph, cfg: PartitionConfig, ts: Optional[ThresholdSt
 
 def _bipartition_window(h: Hypergraph, cfg: PartitionConfig, rng: random.Random,
                         window: BalanceWindow, timer: PhaseTimer,
-                        shared: Optional[_InputLevel] = None) -> Tuple[Partition, dict]:
+                        shared: _InputLevel) -> Tuple[Partition, dict]:
     """One full V-cycle on ``h`` targeting the given balance window.
 
     When ``h`` is the input hypergraph of ``shared``, its first level's
-    threshold state and cores come from there.
+    threshold state and cores come from there. Raises
+    :class:`InfeasibleBalanceError` when the refined partition of ``h``
+    ends outside the window.
     """
-    if h.num_vertices < 2:
-        raise InfeasibleBalanceError("cannot bipartition fewer than two vertices")
     sim_fixed = _resolve_thresholds(cfg)[0]
 
     levels: List[LevelLink] = []
@@ -154,7 +154,7 @@ def _bipartition_window(h: Hypergraph, cfg: PartitionConfig, rng: random.Random,
     ts: Optional[ThresholdState] = None
 
     while current.num_vertices > COARSEST_SIZE and current.num_hyperedges > 0:
-        if shared is not None and current is shared.h:
+        if current is shared.h:
             if shared.first_level is None:
                 shared.first_level = _cluster_level(current, cfg, ts, timer)
             ts, cores = shared.first_level
@@ -175,7 +175,7 @@ def _bipartition_window(h: Hypergraph, cfg: PartitionConfig, rng: random.Random,
         if ratio < STAGNATION_RATIO:
             break
         if sim_fixed is None:
-            with timer.phase("vcycle"):
+            with timer.phase("hcg"):
                 new_degree = current.avg_degree()
                 if new_degree > 0:
                     ts = update_threshold(ts, new_degree)
@@ -192,19 +192,11 @@ def _bipartition_window(h: Hypergraph, cfg: PartitionConfig, rng: random.Random,
 
     for pos in range(len(levels) - 1, -1, -1):
         link = levels[pos]
-        with timer.phase("vcycle"):
+        with timer.phase("projection"):
             p = project(p, link)
         with timer.phase("refinement"):
             _refine_level(link.fine, p, window, level_pos=pos)
 
-    if window.violation(p.part_weight[0]) > 0:
-        # Balance repair: extra early-exit sweeps walk the partition
-        # into the window when the projected one sits outside it.
-        with timer.phase("refinement"):
-            for _ in range(6):
-                refine_bipartition(h, p, "fm-ee", window=window, max_passes=1)
-                if window.violation(p.part_weight[0]) == 0:
-                    break
     if window.violation(p.part_weight[0]) > 0:
         raise InfeasibleBalanceError(
             f"no balanced bipartition found (part weights {p.part_weight})")
@@ -221,15 +213,11 @@ def _refine_level(h: Hypergraph, p: Partition, window: BalanceWindow,
         refine_bipartition(h, p, "fm-ee", window=window)
 
 
-def bipartition(h: Hypergraph, cfg: PartitionConfig,
-                rng: Optional[random.Random] = None) -> Tuple[Partition, dict]:
-    """Bisect ``h`` under the symmetric balance constraint of ``cfg``."""
-    cfg.validate()
-    if rng is None:
-        rng = random.Random(cfg.seed)
-    timer = PhaseTimer()
-    window = BalanceWindow.symmetric(h.total_vertex_weight, cfg.epsilon)
-    return _bipartition_window(h, cfg, rng, window, timer)
+def bipartition(h: Hypergraph, cfg: PartitionConfig) -> Tuple[Partition, dict]:
+    """Bisect ``h``: the k=2 case of :func:`partition_kway`, returning its
+    partition and the record of its one bisection."""
+    p, stats = partition_kway(h, replace(cfg, k=2))
+    return p, stats.bisections[0]
 
 
 def _quota_interval(k: int, avg_part: float, epsilon: float,

@@ -58,7 +58,7 @@ class TestCli:
         assert len(lines) == 12
         assert set(lines) <= {"0", "1"}
         document = json.loads(stats.read_text())
-        for key in ("overall", "build", "recursion", "vcycle", "hcg",
+        for key in ("overall", "build", "recursion", "projection", "hcg",
                     "matching", "coarsening", "initpart", "refinement",
                     "cost", "imbalance", "runs"):
             assert key in document

@@ -5,9 +5,10 @@ from dataclasses import replace
 
 import pytest
 
-from hypart import (Hypergraph, PartitionConfig, PHASE_KEYS, bipartition,
-                    brute_force_bipartition, induce_subhypergraph,
-                    max_imbalance, partition_cost, partition_kway, run_many)
+from hypart import (Hypergraph, InfeasibleBalanceError, PartitionConfig,
+                    PHASE_KEYS, bipartition, brute_force_bipartition,
+                    induce_subhypergraph, max_imbalance, partition_cost,
+                    partition_kway, run_many)
 from hypart.driver import std_dev_percent
 
 from conftest import make_path4, naive_cost, random_hypergraph
@@ -68,6 +69,14 @@ class TestBipartition:
         assert all(s == 0.5 for s in info["s"])
         assert max_imbalance(h, p) <= 0.1
 
+    def test_checks_input_like_partition_kway(self):
+        # bipartition is the k=2 case of partition_kway, so it rejects
+        # what partition_kway rejects, whatever k the config names.
+        with pytest.raises(ValueError, match="exceeds the number of vertices"):
+            bipartition(Hypergraph(1, []), PartitionConfig(epsilon=0.1))
+        with pytest.raises(ValueError, match="invalid hypergraph"):
+            bipartition(Hypergraph(3, [[0, 3]]), PartitionConfig(k=4, epsilon=0.1))
+
 
 class TestPartitionKway:
     def test_k2_matches_bipartition(self, sample16):
@@ -97,6 +106,20 @@ class TestPartitionKway:
                 continue
             assert min(p.part_sizes()) >= 1
             assert max_imbalance(h, p) <= 0.3 + 1e-9
+
+    @pytest.mark.xfail(strict=True, raises=InfeasibleBalanceError,
+                       reason="ROADMAP item 8: FM's single moves cannot reach a "
+                              "window that only a swap reaches")
+    def test_weighted_window_reached_only_by_a_swap(self):
+        # A [17, 17] split of cut 1 exists, but the V-cycle ends at
+        # [16, 18] or [18, 16] on most seeds (seed 2 succeeds): no single
+        # move from there lands in the window [17, 17].
+        h = Hypergraph(7, [[2, 4, 5, 6]], vertex_weight=[5, 8, 8, 5, 1, 5, 2])
+        oracle = brute_force_bipartition(h, 0.05)
+        assert oracle.best_cost == 1
+        assert oracle.partition.part_weight == [17, 17]
+        p, _ = partition_kway(h, PartitionConfig(k=2, epsilon=0.05, seed=1))
+        assert p.part_weight == [17, 17]
 
     def test_k_larger_than_n_rejected(self, path4):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from hypart import (Hypergraph, Matching, Partition,
+from hypart import (BalanceWindow, Hypergraph, Matching, Partition,
                     contract, fm_pass, max_imbalance, partition_cost, project,
                     refine_bipartition)
 
@@ -112,6 +112,40 @@ class TestFmPass:
         refine_bipartition(h, p, "fm-ee", symmetric_window(h, 0.1),
                            max_passes=10)
         assert max_imbalance(h, p) <= 0.1
+
+    def test_unit_weights_reach_any_window_in_one_ee_pass(self):
+        # With unit vertex weights, while part 0 weighs more than
+        # ``upper`` only moves off side 0 are admissible, and each lowers
+        # the violation by exactly one, so every move is a new best state
+        # and the early exit cannot fire first (the case below ``lower``
+        # mirrors it). One fm-ee pass therefore ends inside any nonempty
+        # integer window that leaves both sides a vertex, whatever the
+        # start. The driver relies on this: when the finest level ends
+        # outside its window it raises rather than repairs.
+        rng = random.Random(41)
+        for case in range(1000):
+            h = random_hypergraph(rng, min_vertices=2, max_vertices=40,
+                                  min_edges=1, max_edges=60,
+                                  size_weights=rng.random() < 0.5)
+            n = h.num_vertices
+            start = case % 3
+            if start == 0:
+                assignment = [rng.randrange(2) for _ in range(n)]
+            elif start == 1:
+                assignment = [0] * n
+                assignment[rng.randrange(n)] = 1
+                if rng.random() < 0.5:
+                    assignment = [1 - a for a in assignment]
+            else:
+                assignment = [rng.randrange(2)] * n
+            p = Partition.from_assignment(h, 2, assignment)
+            lower = rng.randint(1, n - 1)
+            upper = rng.randint(lower, n - 1)
+            window = BalanceWindow(float(lower), float(upper),
+                                   rng.uniform(lower, upper))
+            fm_pass(h, p, "fm-ee", window, audit=case % 5 == 0)
+            assert lower <= p.part_weight[0] <= upper, (case, lower, upper)
+            assert p.part_weight == Partition.from_assignment(h, 2, p.assignment).part_weight
 
 
 class TestProject:
