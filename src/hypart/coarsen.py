@@ -12,6 +12,7 @@ threshold used to build hyperedge clusters at each level.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -156,10 +157,10 @@ def match_in_cores(h: Hypergraph, cores: CoreDecomposition,
             unmatched_set.discard(u)
             v = _best_mate(h, u, unmatched_set, incident_weight)
             if v is None:
-                v = min(unmatched_set)
+                v = unmatched[0]
             mate[u] = v
             mate[v] = u
-            unmatched.remove(v)
+            del unmatched[bisect_left(unmatched, v)]
             unmatched_set.discard(v)
         leftovers.extend(unmatched)
     leftovers.extend(cores.singleton_cores)

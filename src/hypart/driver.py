@@ -220,30 +220,19 @@ def bipartition(h: Hypergraph, cfg: PartitionConfig) -> Tuple[Partition, dict]:
     return p, stats.bisections[0]
 
 
-def _quota_interval(k: int, avg_part: float, epsilon: float,
-                    memo: Dict[int, Tuple[int, int]]) -> Tuple[int, int]:
-    """Integer interval of side weights realisable by a quota of k parts.
+def _part_interval(avg_part: float, epsilon: float) -> Tuple[int, int]:
+    """Integer interval ``(L, H)`` of weights one part may take.
 
-    Part weights are integers, so a single part must weigh between
-    ceil((1 - eps) * avg) and floor((1 + eps) * avg); a quota of k parts
-    sums k such intervals, which stays a contiguous integer interval.
-    Windows drawn from these intervals always contain a weight the
-    descendants can realise, which real-valued windows do not guarantee
-    (a node may be handed a weight whose child window contains no
-    integer).
+    Part weights are integers, so a part must weigh between
+    ceil((1 - eps) * avg) and floor((1 + eps) * avg). A quota of k parts
+    may weigh anything in k * [L, H]: the sum of k such intervals, which
+    stays a contiguous integer interval. Windows drawn from these
+    intervals always contain a weight the descendants can realise, which
+    real-valued windows do not guarantee (a node may be handed a weight
+    whose child window contains no integer).
     """
-    cached = memo.get(k)
-    if cached is not None:
-        return cached
-    if k == 1:
-        lo = math.ceil(avg_part * (1.0 - epsilon) - 1e-9)
-        hi = math.floor(avg_part * (1.0 + epsilon) + 1e-9)
-    else:
-        lo1, hi1 = _quota_interval((k + 1) // 2, avg_part, epsilon, memo)
-        lo2, hi2 = _quota_interval(k // 2, avg_part, epsilon, memo)
-        lo, hi = lo1 + lo2, hi1 + hi2
-    memo[k] = (lo, hi)
-    return lo, hi
+    return (math.ceil(avg_part * (1.0 - epsilon) - 1e-9),
+            math.floor(avg_part * (1.0 + epsilon) + 1e-9))
 
 
 def induce_subhypergraph(h: Hypergraph, p: Partition, part: int) -> Tuple[Hypergraph, List[int]]:
@@ -286,9 +275,8 @@ def _partition_run(shared: _InputLevel, cfg: PartitionConfig) -> Tuple[Partition
 
     rng = random.Random(cfg.seed)
     bisections: List[dict] = []
-    intervals: Dict[int, Tuple[int, int]] = {}
-    total_lo, total_hi = _quota_interval(cfg.k, avg_part, cfg.epsilon, intervals)
-    if not total_lo <= h.total_vertex_weight <= total_hi:
+    part_lo, part_hi = _part_interval(avg_part, cfg.epsilon)
+    if not cfg.k * part_lo <= h.total_vertex_weight <= cfg.k * part_hi:
         raise InfeasibleBalanceError(
             f"total weight {h.total_vertex_weight} cannot split into {cfg.k} "
             f"parts within tolerance {cfg.epsilon}")
@@ -301,10 +289,8 @@ def _partition_run(shared: _InputLevel, cfg: PartitionConfig) -> Tuple[Partition
         k1 = (k_node + 1) // 2
         k2 = k_node // 2
         w_node = sub.total_vertex_weight
-        lo1, hi1 = _quota_interval(k1, avg_part, cfg.epsilon, intervals)
-        lo2, hi2 = _quota_interval(k2, avg_part, cfg.epsilon, intervals)
-        lower = max(lo1, w_node - hi2)
-        upper = min(hi1, w_node - lo2)
+        lower = max(k1 * part_lo, w_node - k2 * part_hi)
+        upper = min(k1 * part_hi, w_node - k2 * part_lo)
         if lower > upper:
             raise InfeasibleBalanceError(
                 f"empty balance window for a {k1}:{k2} split of weight {w_node}")

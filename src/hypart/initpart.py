@@ -21,9 +21,8 @@ INIT_METHODS = ("random", "linear", "fm-seeded")
 
 
 def _ensure_both_parts(h: Hypergraph, assignment: List[int]) -> None:
-    sizes = [0, 0]
-    for part in assignment:
-        sizes[part] += 1
+    ones = sum(assignment)
+    sizes = [len(assignment) - ones, ones]
     for part in (0, 1):
         if sizes[part] == 0:
             donor = 1 - part

@@ -6,19 +6,21 @@ eligible set as the boundary moves. An early-exit pass (``fm-ee``)
 starts with every vertex eligible and aborts once ``EARLY_EXIT_WINDOW``
 consecutive moves fail to produce a new best state. Both flavours
 move the maximum-gain admissible vertex, lock it, update neighbour gains
-incrementally and finally roll back to the best state seen, preferring
-balanced states and lower cost in that order. A move is admissible when
-the resulting part-0 weight stays inside the balance window widened by
-one maximum vertex weight (single moves must stay possible on coarse
-levels where vertices are heavy), or when it strictly reduces the
-balance violation; moves that would empty a part are never admissible.
+incrementally and finally roll back to the best state seen: the lowest
+balance violation, then the lowest cost, so balanced states come first.
+A move is admissible when the resulting part-0 weight stays inside the
+balance window widened by one maximum vertex weight (single moves must
+stay possible on coarse levels where vertices are heavy), or when it
+strictly reduces the balance violation; moves that would empty a part
+are never admissible.
 
 Eligible vertices sit in per-side gain buckets (gain -> set of vertices
 of that part), and each side keeps a max-heap of its gains with lazy
 deletion: an entry whose bucket has emptied is popped when it surfaces.
 Selection takes each side's best admissible move, the maximum gain and
-then the lowest vertex id, and compares the two sides by gain, then by
-which part sits further below its target, then by vertex id.
+then the lowest vertex id, and compares the two sides by gain, then
+prefers the move off the part above its target, then the lower vertex
+id.
 
 Within one selection, admissibility depends only on the source side and
 the vertex weight, and it is monotone in the weight: if a vertex of
@@ -130,10 +132,8 @@ class _FmState:
         for heap in self.heaps:
             heapq.heapify(heap)
 
-        sizes = [0, 0]
-        for part in assignment:
-            sizes[part] += 1
-        self.part_size = sizes
+        ones = sum(assignment)
+        self.part_size = [n - ones, ones]
 
         # Balance violation of the current part-0 weight; the window is
         # fixed for the pass, so apply_move keeps it current.
@@ -186,8 +186,8 @@ class _FmState:
         return None
 
     def select(self) -> Optional[int]:
-        """Max-gain admissible vertex; ties prefer the move into the part
-        that sits further below its target, then the lower vertex id."""
+        """Max-gain admissible vertex; ties prefer the move off the part
+        above its target, then the lower vertex id."""
         best0 = self._side_best(0)   # would move into part 1
         best1 = self._side_best(1)   # would move into part 0
         if best0 is None or best1 is None:
@@ -195,12 +195,13 @@ class _FmState:
             return None if best is None else best[1]
         if best0[0] != best1[0]:
             return best0[1] if best0[0] > best1[0] else best1[1]
-        total = self.h.total_vertex_weight
-        deficits = (self.window.target - self.p.part_weight[0],
-                    (total - self.window.target) - self.p.part_weight[1])
-        key0 = (0 if deficits[1] >= deficits[0] else 1, best0[1])
-        key1 = (0 if deficits[0] >= deficits[1] else 1, best1[1])
-        return best0[1] if key0 <= key1 else best1[1]
+        # Part 1 sits above its target exactly when part 0 sits below.
+        w0 = self.p.part_weight[0]
+        if w0 > self.window.target:
+            return best0[1]
+        if w0 < self.window.target:
+            return best1[1]
+        return min(best0[1], best1[1])
 
     def apply_move(self, v: int) -> None:
         h = self.h
@@ -339,12 +340,6 @@ class _FmState:
                 raise FmAuditError(f"eligible vertex {u} is missing from the buckets")
 
 
-def _state_key(violation: float, cost: int) -> Tuple[int, float, int]:
-    if violation <= 1e-9:
-        return (0, float(cost), 0)
-    return (1, violation, cost)
-
-
 def fm_pass(h: Hypergraph, p: Partition, mode: str, window: BalanceWindow,
             audit: bool = False) -> Tuple[Partition, int]:
     """Run one FM pass of flavour ``mode`` in place and return
@@ -364,7 +359,9 @@ def fm_pass(h: Hypergraph, p: Partition, mode: str, window: BalanceWindow,
 
     state = _FmState(h, p, window, boundary_only=(mode == "bfm"))
     initial_cost = state.cost
-    best_key = _state_key(state.violation, state.cost)
+    # States compare by violation, then cost; a violation is exactly 0.0
+    # or above 1e-9, so balanced states come first.
+    best_key = (state.violation, state.cost)
     best_cost = state.cost
     best_index = 0
     history: List[int] = []
@@ -378,7 +375,7 @@ def fm_pass(h: Hypergraph, p: Partition, mode: str, window: BalanceWindow,
             break
         state.apply_move(v)
         history.append(v)
-        key = _state_key(state.violation, state.cost)
+        key = (state.violation, state.cost)
         if key < best_key:
             best_key = key
             best_cost = state.cost

@@ -108,6 +108,16 @@ class TestCli:
                         "--stats", tmp_path / "s"])
         assert code == 2
 
+    def test_infeasible_balance_is_runtime_error(self, tmp_path, capsys):
+        # Three unit rows cannot split into two parts of weight 1.47-1.53.
+        path = tmp_path / "three.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate pattern general\n"
+                        "3 2 4\n1 1\n2 1\n2 2\n3 2\n")
+        code = run_cli(["--input", path, "--k", 2, "--epsilon", 0.02,
+                        "--out", tmp_path / "p", "--stats", tmp_path / "s"])
+        assert code == 2
+        assert "cannot split into 2 parts" in capsys.readouterr().err
+
     def test_deterministic_partition_bytes(self, matrix_file, tmp_path):
         out1 = tmp_path / "a.part"
         out2 = tmp_path / "b.part"

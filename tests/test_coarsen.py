@@ -238,6 +238,19 @@ class TestMatchingOracle:
             expected = reference_matching(h, cores, random.Random(seed))
             assert m.mate == expected, f"trial {trial}"
 
+    def test_single_core_holding_every_vertex(self):
+        # Coarse levels of some inputs form one core over the whole
+        # level, so core matching walks one long unmatched list.
+        rng = random.Random(5)
+        n = 401
+        h = Hypergraph(n, [rng.sample(range(n), 4) for _ in range(300)])
+        cores = CoreDecomposition([list(range(n))], [], [])
+        fast_rng = random.Random(8)
+        m, leftovers = match_in_cores(h, cores, fast_rng)
+        m = match_noncore(h, m, leftovers, fast_rng)
+        expected = reference_matching(h, cores, random.Random(8))
+        assert m.mate == expected
+
 
 class TestContract:
     def test_identity_contraction(self):

@@ -1,5 +1,6 @@
 """V-cycle, recursive bisection and run summaries."""
 
+import math
 import random
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ from hypart import (Hypergraph, InfeasibleBalanceError, PartitionConfig,
                     PHASE_KEYS, bipartition, brute_force_bipartition,
                     induce_subhypergraph, max_imbalance, partition_cost,
                     partition_kway, run_many)
-from hypart.driver import std_dev_percent
+from hypart.driver import _part_interval, std_dev_percent
 
 from conftest import make_path4, naive_cost, random_hypergraph
 
@@ -188,6 +189,44 @@ class TestPartitionKway:
         assert stats.imbalance == max_imbalance(h, p)
         assert len(stats.bisections) == 3   # k=4 needs three bisections
         assert stats.seed == 3
+
+
+def reference_quota_interval(k, avg_part, epsilon):
+    """Integer weight interval of a quota of k parts, by its recursive
+    definition: a quota splits into ceil(k/2) and floor(k/2) parts and
+    sums their intervals, down to the one-part interval."""
+    if k == 1:
+        return (math.ceil(avg_part * (1.0 - epsilon) - 1e-9),
+                math.floor(avg_part * (1.0 + epsilon) + 1e-9))
+    lo1, hi1 = reference_quota_interval((k + 1) // 2, avg_part, epsilon)
+    lo2, hi2 = reference_quota_interval(k // 2, avg_part, epsilon)
+    return lo1 + lo2, hi1 + hi2
+
+
+class TestQuotaInterval:
+    def test_k_copies_of_one_part_match_the_recursion(self):
+        rng = random.Random(61)
+        empty = 0
+        for trial in range(400):
+            if trial % 4 == 0:
+                # Integer and half-integer averages sit on the rounding edge.
+                avg = rng.randint(1, 200) / rng.choice((1, 2))
+            else:
+                avg = rng.uniform(0.5, 500.0)
+            epsilon = rng.choice((0.01, 0.02, 0.05, rng.uniform(0.001, 0.999)))
+            lo, hi = _part_interval(avg, epsilon)
+            empty += lo > hi
+            for k in range(1, 65):
+                assert (k * lo, k * hi) == reference_quota_interval(k, avg, epsilon), \
+                    (avg, epsilon, k)
+        assert empty > 0, "no case had an empty one-part interval"
+
+    def test_total_outside_k_parts_is_infeasible(self):
+        # Parts must weigh between ceil(3.27) = 4 and floor(3.4) = 3.
+        path10 = Hypergraph(10, [[i, i + 1] for i in range(9)])
+        with pytest.raises(InfeasibleBalanceError,
+                           match="total weight 10 cannot split into 3 parts"):
+            partition_kway(path10, PartitionConfig(k=3, epsilon=0.02))
 
 
 class TestInduceSubhypergraph:
