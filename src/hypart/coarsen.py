@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .model import Hypergraph, derive_hypergraph
 from .roughset import CoreDecomposition
@@ -51,8 +50,7 @@ class Matching:
         self.num_coarse = nxt
 
 
-@dataclass
-class LevelLink:
+class LevelLink(NamedTuple):
     """One coarsening step: the coarse hypergraph plus the vertex map."""
 
     fine: Hypergraph
@@ -60,8 +58,7 @@ class LevelLink:
     coarse_id: List[int]
 
 
-@dataclass(frozen=True)
-class ThresholdState:
+class ThresholdState(NamedTuple):
     """Similarity threshold plus the average degree it was tuned for."""
 
     s: float

@@ -18,11 +18,9 @@ from __future__ import annotations
 
 import math
 import random
-import statistics
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .coarsen import (LevelLink, contract, initial_threshold, match_in_cores,
                       match_noncore, update_threshold, ThresholdState)
@@ -47,8 +45,7 @@ INIT_REPEATS = 4
 FMEE_FINEST_LEVELS = 2
 
 
-@dataclass
-class PartitionConfig:
+class PartitionConfig(NamedTuple):
     k: int = 2
     epsilon: float = 0.02
     similarity_threshold: Union[str, float] = "auto"   # "auto" uses the CC seed
@@ -69,8 +66,7 @@ class PartitionConfig:
             raise ValueError("runs must be at least 1")
 
 
-@dataclass
-class RunStats:
+class RunStats(NamedTuple):
     """Wall times per phase plus the headline result of one run."""
 
     phases: Dict[str, float]
@@ -216,7 +212,7 @@ def _refine_level(h: Hypergraph, p: Partition, window: BalanceWindow,
 def bipartition(h: Hypergraph, cfg: PartitionConfig) -> Tuple[Partition, dict]:
     """Bisect ``h``: the k=2 case of :func:`partition_kway`, returning its
     partition and the record of its one bisection."""
-    p, stats = partition_kway(h, replace(cfg, k=2))
+    p, stats = partition_kway(h, cfg._replace(k=2))
     return p, stats.bisections[0]
 
 
@@ -325,10 +321,10 @@ def std_dev_percent(costs: List[int]) -> float:
     """Population standard deviation as a percentage of the mean cost."""
     if len(costs) < 2:
         return 0.0
-    mean = statistics.fmean(costs)
+    mean = math.fsum(costs) / len(costs)
     if mean == 0:
         return 0.0
-    return statistics.pstdev(costs) / mean * 100.0
+    return math.sqrt(math.fsum((c - mean) ** 2 for c in costs) / len(costs)) / mean * 100.0
 
 
 def run_many(h: Hypergraph, cfg: PartitionConfig) -> dict:
@@ -346,14 +342,14 @@ def run_many(h: Hypergraph, cfg: PartitionConfig) -> dict:
     shared = _InputLevel(h)
     results: List[Tuple[Partition, RunStats]] = []
     for i in range(cfg.runs):
-        run_cfg = replace(cfg, seed=cfg.seed + i, runs=1)
+        run_cfg = cfg._replace(seed=cfg.seed + i, runs=1)
         results.append(_partition_run(shared, run_cfg))
     costs = [stats.cost for _, stats in results]
     best_index = min(range(len(results)), key=lambda i: (costs[i], i))
     best_partition, best_stats = results[best_index]
     return {
         "best_cost": costs[best_index],
-        "mean_cost": statistics.fmean(costs),
+        "mean_cost": math.fsum(costs) / len(costs),
         "std_dev_percent": std_dev_percent(costs),
         "best_partition": best_partition,
         "best_stats": best_stats,

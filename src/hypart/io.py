@@ -25,14 +25,6 @@ class PartitionFormatError(ValueError):
     """Raised for malformed partition files."""
 
 
-def _data_lines(source: TextIO):
-    for line in source:
-        stripped = line.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        yield stripped
-
-
 def read_matrix_market(source: TextIO, scheme: str = "unit",
                        stats: Optional[Dict[str, int]] = None) -> Hypergraph:
     """Read a Matrix Market coordinate stream as a column-net hypergraph.
@@ -62,11 +54,13 @@ def read_matrix_market(source: TextIO, scheme: str = "unit",
         raise MatrixFormatError(f"unsupported symmetry {symmetry!r}")
     mirror = symmetry != "general"
 
-    lines = _data_lines(source)
-    try:
-        size_line = next(lines)
-    except StopIteration:
-        raise MatrixFormatError("truncated stream: missing size line") from None
+    lines = iter(source)
+    for line in lines:
+        size_line = line.strip()
+        if size_line and not size_line.startswith("%"):
+            break
+    else:
+        raise MatrixFormatError("truncated stream: missing size line")
     parts = size_line.split()
     if len(parts) != 3:
         raise MatrixFormatError(f"malformed size line: {size_line!r}")
@@ -79,27 +73,32 @@ def read_matrix_market(source: TextIO, scheme: str = "unit",
     if mirror and rows != cols:
         raise MatrixFormatError("symmetric matrix must be square")
 
+    # One pass over the entries; nothing after the nnz-th is read. Blank
+    # and comment lines fail the parse, so they are told apart from
+    # malformed entries only then. Pin sets stay unsorted: Hypergraph
+    # sorts each pin list once.
     col_pins = [set() for _ in range(cols)]
-    for i in range(nnz):
-        try:
-            entry = next(lines)
-        except StopIteration:
-            raise MatrixFormatError(
-                f"truncated stream: expected {nnz} entries, got {i}") from None
-        fields = entry.split()
-        if len(fields) < 2:
-            raise MatrixFormatError(f"malformed entry: {entry!r}")
+    count = 0
+    for line in (lines if nnz else ()):
+        fields = line.split()
         try:
             r, c = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise MatrixFormatError(f"malformed entry: {entry!r}") from None
+        except (ValueError, IndexError):
+            if not fields or fields[0].startswith("%"):
+                continue
+            raise MatrixFormatError(f"malformed entry: {line.strip()!r}") from None
         if not (1 <= r <= rows and 1 <= c <= cols):
             raise MatrixFormatError(f"coordinate ({r}, {c}) out of range")
         col_pins[c - 1].add(r - 1)
         if mirror and r != c:
             col_pins[r - 1].add(c - 1)
+        count += 1
+        if count == nnz:
+            break
+    if count < nnz:
+        raise MatrixFormatError(f"truncated stream: expected {nnz} entries, got {count}")
 
-    pins = [sorted(s) for s in col_pins if s]
+    pins = [s for s in col_pins if s]
     dropped = cols - len(pins)
     if scheme == "size":
         weights = [len(p) for p in pins]

@@ -11,8 +11,7 @@ of a part weight from the average part weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 
 class InfeasibleBalanceError(RuntimeError):
@@ -249,8 +248,7 @@ def max_imbalance(h: Hypergraph, p: Partition) -> float:
     return max(abs(w - avg) / avg for w in p.part_weight)
 
 
-@dataclass(frozen=True)
-class BalanceWindow:
+class BalanceWindow(NamedTuple):
     """Feasible interval for the weight of part 0 in a bisection.
 
     ``target`` is the aim point; ``lower``/``upper`` bound the part-0

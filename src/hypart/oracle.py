@@ -12,15 +12,14 @@ so importing :mod:`hypart` or running the command line never loads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import Hypergraph, InfeasibleBalanceError, Partition
 
 MAX_VERTICES = 20
 
 
-@dataclass
-class OracleResult:
+class OracleResult(NamedTuple):
     best_cost: int
     partition: Partition
     count_of_optima: int

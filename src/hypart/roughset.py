@@ -16,14 +16,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .model import Hypergraph
 
 
-@dataclass
-class EdgePartitioning:
+class EdgePartitioning(NamedTuple):
     """Assignment of every hyperedge to exactly one cluster.
 
     ``clusters`` are disjoint, cover all hyperedges and are stored as
@@ -36,8 +34,7 @@ class EdgePartitioning:
     cluster_size: List[int]
 
 
-@dataclass
-class CoreDecomposition:
+class CoreDecomposition(NamedTuple):
     """Disjoint vertex cores plus singleton and non-core lists.
 
     ``cores`` holds groups of two or more vertices with identical

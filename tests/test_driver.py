@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -285,6 +284,36 @@ class TestRunMany:
         assert std_dev_percent([5]) == 0.0
         assert std_dev_percent([7, 7, 7]) == 0.0
 
+    def test_summary_statistics_match_statistics_module(self, monkeypatch):
+        # The summary's mean and spread equal statistics.fmean and
+        # statistics.pstdev, which the program no longer imports. Each
+        # run's cost is planted through a stub of the single-run function,
+        # so the summary arithmetic of run_many itself is checked.
+        import statistics
+
+        import hypart.driver as drv
+
+        rng = random.Random(12)
+        for _ in range(200):
+            costs = [rng.randint(0, rng.choice([3, 100, 10 ** 6]))
+                     for _ in range(rng.randint(1, 12))]
+            base = rng.randint(0, 50)
+
+            def planted(shared, cfg):
+                stats = drv.RunStats(phases={}, cost=costs[cfg.seed - base],
+                                     imbalance=0.0, bisections=[], seed=cfg.seed)
+                return None, stats
+
+            monkeypatch.setattr(drv, "_partition_run", planted)
+            summary = run_many(make_path4(), PartitionConfig(seed=base, runs=len(costs)))
+            monkeypatch.undo()
+            mean = statistics.fmean(costs)
+            assert summary["mean_cost"] == pytest.approx(mean, rel=1e-12, abs=0)
+            expected = (statistics.pstdev(costs) / mean * 100.0
+                        if len(costs) > 1 and mean else 0.0)
+            assert summary["std_dev_percent"] == pytest.approx(expected, rel=1e-12, abs=0)
+            assert std_dev_percent(costs) == summary["std_dev_percent"]
+
 
 class TestSharedInputLevel:
     # The input's validation and its first level's threshold state,
@@ -342,7 +371,7 @@ class TestSharedInputLevel:
         monkeypatch.undo()
         assert len(finals) == cfg.runs
         for i, stats in enumerate(summary["runs"]):
-            p, single = partition_kway(h, replace(cfg, seed=cfg.seed + i, runs=1))
+            p, single = partition_kway(h, cfg._replace(seed=cfg.seed + i, runs=1))
             assert finals[i] == p.assignment
             assert stats.cost == single.cost
             assert stats.seed == single.seed

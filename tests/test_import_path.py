@@ -1,9 +1,13 @@
-"""The partitioner's import path stays free of numpy.
+"""The partitioner's import path stays free of numpy and of slow
+standard-library modules.
 
 numpy backs only the exhaustive reference bipartitioner, so importing
-the package or its command line must not load it. Each check runs in a
-fresh interpreter, because the test process itself has long imported
-numpy through other suites.
+the package or its command line must not load it. The command line pays
+its import time on every call, so its records are NamedTuples rather
+than dataclasses (which load ``inspect``) and its run summary uses
+``math`` rather than ``statistics`` (which loads ``decimal`` and
+``fractions``). Each check runs in a fresh interpreter, because the test
+process itself has long imported these modules through other suites.
 """
 
 import os
@@ -31,6 +35,18 @@ def run_fresh(code):
 def test_import_leaves_numpy_unloaded(module):
     out = run_fresh(f"import sys, {module}; print('numpy' in sys.modules)")
     assert out == "False"
+
+
+def test_cli_import_leaves_slow_stdlib_modules_unloaded():
+    # Only what the import itself adds counts, not what the interpreter's
+    # site start-up may have loaded before it.
+    out = run_fresh(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import hypart.cli\n"
+        "slow = ('dataclasses', 'inspect', 'statistics', 'decimal', 'fractions')\n"
+        "print(sorted(m for m in slow if m in sys.modules and m not in before))\n")
+    assert out == "[]"
 
 
 def test_oracle_loads_numpy_on_first_call():
