@@ -13,17 +13,14 @@ from .model import (BalanceWindow, Hypergraph, InfeasibleBalanceError,
 from .io import (MatrixFormatError, PartitionFormatError, read_matrix_market,
                  read_partition, write_partition, WEIGHT_SCHEMES)
 from .roughset import (CoreDecomposition, EdgePartitioning,
-                       build_edge_partitions, extract_cores,
-                       hyperedge_similarity, info_value, reduced_value)
+                       build_edge_partitions, extract_cores)
 from .coarsen import (LevelLink, Matching, ThresholdState, cc_edge,
                       cc_hypergraph, contract, initial_threshold,
-                      match_in_cores, match_noncore, update_threshold,
-                      weighted_jaccard)
+                      match_in_cores, match_noncore, update_threshold)
 from .refine import FM_MODES, fm_pass, project, refine_bipartition
 from .initpart import INIT_METHODS, generate_candidate, select_best
 from .driver import (PHASE_KEYS, PartitionConfig, RunStats, bipartition,
                      induce_subhypergraph, partition_kway, run_many)
-from .oracle import OracleResult, brute_force_bipartition
 
 __version__ = "0.1.0"
 
@@ -33,14 +30,13 @@ __all__ = [
     "MatrixFormatError", "PartitionFormatError", "read_matrix_market",
     "read_partition", "write_partition", "WEIGHT_SCHEMES",
     "CoreDecomposition", "EdgePartitioning", "build_edge_partitions",
-    "extract_cores", "hyperedge_similarity", "info_value", "reduced_value",
+    "extract_cores",
     "LevelLink", "Matching", "ThresholdState", "cc_edge", "cc_hypergraph",
     "contract", "initial_threshold", "match_in_cores", "match_noncore",
-    "update_threshold", "weighted_jaccard",
+    "update_threshold",
     "FM_MODES", "fm_pass", "project", "refine_bipartition",
     "INIT_METHODS", "generate_candidate", "select_best",
     "PHASE_KEYS", "PartitionConfig", "RunStats", "bipartition",
     "induce_subhypergraph", "partition_kway", "run_many",
-    "OracleResult", "brute_force_bipartition",
     "__version__",
 ]

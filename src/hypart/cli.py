@@ -3,7 +3,8 @@
 Reads a Matrix Market file as a column-net hypergraph, runs one or more
 seeded partitioning repetitions, writes the best run's partition (one
 part id per line) and a JSON stats document with the per-phase wall
-times, the final cost and imbalance, and the per-run summary.
+times, the final cost and imbalance, the per-run summary and the best
+run's bisection records.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime error
 (I/O failures, malformed input, infeasible balance).
@@ -113,6 +114,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         {"seed": stats.seed, "cost": stats.cost, "imbalance": stats.imbalance}
         for stats in summary["runs"]
     ]
+    document["bisections"] = best.bisections
 
     try:
         with open(out_path, "w", encoding="utf-8") as f:

@@ -65,45 +65,6 @@ class ThresholdState(NamedTuple):
     avg_degree: float
 
 
-def weighted_jaccard(h: Hypergraph, u: int, v: int) -> float:
-    """Weighted Jaccard similarity of two vertices' incidence sets.
-
-    Sum of hyperedge weights over the shared hyperedges divided by the
-    sum over the union. Zero when nothing is shared (including the case
-    of two isolated vertices), one exactly for identical incidence.
-    """
-    if u == v:
-        raise ValueError("weighted_jaccard requires two distinct vertices")
-    a = h.pins_by_vertex[u]
-    b = h.pins_by_vertex[v]
-    weights = h.hyperedge_weight
-    i = j = 0
-    shared = union = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        x, y = a[i], b[j]
-        if x == y:
-            shared += weights[x]
-            union += weights[x]
-            i += 1
-            j += 1
-        elif x < y:
-            union += weights[x]
-            i += 1
-        else:
-            union += weights[y]
-            j += 1
-    while i < la:
-        union += weights[a[i]]
-        i += 1
-    while j < lb:
-        union += weights[b[j]]
-        j += 1
-    if union == 0:
-        return 0.0
-    return shared / union
-
-
 def _best_mate(h: Hypergraph, u: int, free: set,
                incident_weight: List[int]) -> Optional[int]:
     """Vertex of ``free`` with maximum weighted Jaccard to ``u``.

@@ -49,58 +49,6 @@ class CoreDecomposition(NamedTuple):
     non_core: List[int]
 
 
-def info_value(h: Hypergraph, v: int, e: int) -> float:
-    """Information-system value of vertex ``v`` at hyperedge ``e``.
-
-    The weight of ``e`` normalised by the total incident weight of ``v``
-    when ``e`` contains ``v``, and 0 otherwise. Values over all
-    hyperedges of a vertex with positive degree sum to 1.
-    """
-    incident = h.pins_by_vertex[v]
-    if e not in incident:
-        return 0.0
-    total = sum(h.hyperedge_weight[e2] for e2 in incident)
-    return h.hyperedge_weight[e] / total
-
-
-def hyperedge_similarity(h: Hypergraph, ei: int, ej: int,
-                         max_weight: int | None = None) -> float:
-    """Scaled Jaccard similarity between two distinct hyperedges.
-
-    Jaccard index of the two pin sets, scaled by
-    (w(ei) + w(ej)) / (2 * max hyperedge weight). Equals the plain
-    Jaccard index when all hyperedge weights are equal.
-    """
-    if ei == ej:
-        raise ValueError("similarity requires two distinct hyperedges")
-    if max_weight is None:
-        max_weight = h.max_hyperedge_weight()
-    a = h.pins_by_hyperedge[ei]
-    b = h.pins_by_hyperedge[ej]
-    inter = _sorted_intersection_size(a, b)
-    union = len(a) + len(b) - inter
-    if union == 0:
-        return 0.0
-    scale = (h.hyperedge_weight[ei] + h.hyperedge_weight[ej]) / (2.0 * max_weight)
-    return (inter / union) * scale
-
-
-def _sorted_intersection_size(a: List[int], b: List[int]) -> int:
-    i = j = count = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        x, y = a[i], b[j]
-        if x == y:
-            count += 1
-            i += 1
-            j += 1
-        elif x < y:
-            i += 1
-        else:
-            j += 1
-    return count
-
-
 def build_edge_partitions(h: Hypergraph, s: float) -> EdgePartitioning:
     """Cluster hyperedges into connected components of the similarity graph.
 
@@ -215,12 +163,6 @@ def _lightest_partner(w_e: int, scale_den: float, s: float) -> int:
     while (w_e + w) / scale_den < s:
         w += 1
     return w
-
-
-def reduced_value(h: Hypergraph, ep: EdgePartitioning, v: int, c_id: int) -> int:
-    """Number of hyperedges of cluster ``c_id`` incident to vertex ``v``."""
-    cluster_of = ep.cluster_of
-    return sum(1 for e in h.pins_by_vertex[v] if cluster_of[e] == c_id)
 
 
 def extract_cores(h: Hypergraph, ep: EdgePartitioning, c: float,

@@ -1,0 +1,181 @@
+"""Scalar reference definitions that the tests use as oracles.
+
+The partitioner computes these quantities inside fused, incremental
+loops; the definitions here spell each one out directly, one pair or one
+vertex at a time, so the tests can check the fast paths against them.
+None of them is on the partitioning path, so they live with the tests
+rather than in the package.
+
+:func:`brute_force_bipartition` is the exhaustive reference
+bipartitioner. It is the only user of numpy, which it imports on its
+first call.
+"""
+
+from __future__ import annotations
+
+from typing import List, NamedTuple
+
+from hypart import EdgePartitioning, Hypergraph, InfeasibleBalanceError, Partition
+
+MAX_VERTICES = 20
+
+
+def info_value(h: Hypergraph, v: int, e: int) -> float:
+    """Information-system value of vertex ``v`` at hyperedge ``e``.
+
+    The weight of ``e`` normalised by the total incident weight of ``v``
+    when ``e`` contains ``v``, and 0 otherwise. Values over all
+    hyperedges of a vertex with positive degree sum to 1.
+    """
+    incident = h.pins_by_vertex[v]
+    if e not in incident:
+        return 0.0
+    total = sum(h.hyperedge_weight[e2] for e2 in incident)
+    return h.hyperedge_weight[e] / total
+
+
+def hyperedge_similarity(h: Hypergraph, ei: int, ej: int,
+                         max_weight: int | None = None) -> float:
+    """Scaled Jaccard similarity between two distinct hyperedges.
+
+    Jaccard index of the two pin sets, scaled by
+    (w(ei) + w(ej)) / (2 * max hyperedge weight). Equals the plain
+    Jaccard index when all hyperedge weights are equal.
+    """
+    if ei == ej:
+        raise ValueError("similarity requires two distinct hyperedges")
+    if max_weight is None:
+        max_weight = h.max_hyperedge_weight()
+    a = h.pins_by_hyperedge[ei]
+    b = h.pins_by_hyperedge[ej]
+    inter = _sorted_intersection_size(a, b)
+    union = len(a) + len(b) - inter
+    if union == 0:
+        return 0.0
+    scale = (h.hyperedge_weight[ei] + h.hyperedge_weight[ej]) / (2.0 * max_weight)
+    return (inter / union) * scale
+
+
+def _sorted_intersection_size(a: List[int], b: List[int]) -> int:
+    i = j = count = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        x, y = a[i], b[j]
+        if x == y:
+            count += 1
+            i += 1
+            j += 1
+        elif x < y:
+            i += 1
+        else:
+            j += 1
+    return count
+
+
+def reduced_value(h: Hypergraph, ep: EdgePartitioning, v: int, c_id: int) -> int:
+    """Number of hyperedges of cluster ``c_id`` incident to vertex ``v``."""
+    cluster_of = ep.cluster_of
+    return sum(1 for e in h.pins_by_vertex[v] if cluster_of[e] == c_id)
+
+
+def weighted_jaccard(h: Hypergraph, u: int, v: int) -> float:
+    """Weighted Jaccard similarity of two vertices' incidence sets.
+
+    Sum of hyperedge weights over the shared hyperedges divided by the
+    sum over the union. Zero when nothing is shared (including the case
+    of two isolated vertices), one exactly for identical incidence.
+    """
+    if u == v:
+        raise ValueError("weighted_jaccard requires two distinct vertices")
+    a = h.pins_by_vertex[u]
+    b = h.pins_by_vertex[v]
+    weights = h.hyperedge_weight
+    i = j = 0
+    shared = union = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        x, y = a[i], b[j]
+        if x == y:
+            shared += weights[x]
+            union += weights[x]
+            i += 1
+            j += 1
+        elif x < y:
+            union += weights[x]
+            i += 1
+        else:
+            union += weights[y]
+            j += 1
+    while i < la:
+        union += weights[a[i]]
+        i += 1
+    while j < lb:
+        union += weights[b[j]]
+        j += 1
+    if union == 0:
+        return 0.0
+    return shared / union
+
+
+class OracleResult(NamedTuple):
+    best_cost: int
+    partition: Partition
+    count_of_optima: int
+
+
+def brute_force_bipartition(h: Hypergraph, epsilon: float) -> OracleResult:
+    """Exact minimum-cost balanced bipartition by full enumeration.
+
+    Enumerates every bipartition of a small hypergraph (vertex 0 is
+    fixed in part 0, which halves the search space since cost and
+    balance are symmetric under swapping the two part labels) and
+    returns the exact optimum of the connectivity-minus-one cost over
+    all balanced bipartitions with two non-empty parts.
+    """
+    import numpy as np
+
+    n = h.num_vertices
+    if n < 2:
+        raise ValueError("need at least two vertices")
+    if n > MAX_VERTICES:
+        raise ValueError(f"too many vertices for enumeration ({n} > {MAX_VERTICES})")
+
+    # Bit i of a mask means vertex i+1 sits in part 1; vertex 0 is pinned
+    # to part 0.
+    masks = np.arange(1 << (n - 1), dtype=np.int64)
+    weight1 = np.zeros(masks.shape, dtype=np.int64)
+    for i in range(n - 1):
+        weight1 += h.vertex_weight[i + 1] * ((masks >> i) & 1)
+    total = h.total_vertex_weight
+    avg = total / 2.0
+    tolerance = epsilon * avg + 1e-9
+    feasible = (np.abs(weight1 - avg) <= tolerance) & (masks != 0)
+
+    cost = np.zeros(masks.shape, dtype=np.int64)
+    for e, pins in enumerate(h.pins_by_hyperedge):
+        edge_mask = 0
+        has_v0 = False
+        for v in pins:
+            if v == 0:
+                has_v0 = True
+            else:
+                edge_mask |= 1 << (v - 1)
+        inside = masks & edge_mask
+        if has_v0:
+            cut = inside != 0
+        else:
+            cut = (inside != 0) & (inside != edge_mask)
+        cost += h.hyperedge_weight[e] * cut
+
+    if not feasible.any():
+        raise InfeasibleBalanceError("no balanced bipartition exists")
+    sentinel = np.iinfo(np.int64).max
+    guarded = np.where(feasible, cost, sentinel)
+    best = int(guarded.min())
+    index = int(guarded.argmin())
+    count = int((guarded == best).sum())
+
+    assignment = [0] * n
+    for i in range(n - 1):
+        assignment[i + 1] = (index >> i) & 1
+    return OracleResult(best, Partition.from_assignment(h, 2, assignment), count)

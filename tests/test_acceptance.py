@@ -14,18 +14,18 @@ import time
 import pytest
 
 from hypart import (Hypergraph, PartitionConfig, PHASE_KEYS, Partition,
-                    ThresholdState, bipartition, brute_force_bipartition,
-                    build_edge_partitions, cc_edge, cc_hypergraph, contract,
-                    extract_cores, fm_pass, info_value, match_in_cores,
-                    match_noncore, max_imbalance, partition_cost,
-                    partition_kway, project, update_threshold,
-                    BalanceWindow)
+                    ThresholdState, bipartition, build_edge_partitions,
+                    cc_edge, cc_hypergraph, contract, extract_cores, fm_pass,
+                    match_in_cores, match_noncore, max_imbalance,
+                    partition_cost, partition_kway, project,
+                    update_threshold, BalanceWindow)
 from hypart.cli import main as cli_main
 from hypart.model import InfeasibleBalanceError
 
 from conftest import (SAMPLE16_CLUSTERS, SAMPLE16_CORES, SAMPLE16_NON_CORE,
                       SAMPLE16_PINS, SAMPLE16_SINGLETONS, make_sample16,
                       random_hypergraph)
+from reference import brute_force_bipartition, info_value
 
 
 def report(number, name):

@@ -137,6 +137,19 @@ class TestCli:
         assert len(document["runs"]) == 3
         assert document["mean_cost"] >= document["cost"]
 
+    def test_stats_list_the_bisections(self, matrix_file, tmp_path):
+        stats = tmp_path / "s.json"
+        code = run_cli(["--input", matrix_file, "--k", 4, "--quiet",
+                        "--out", tmp_path / "p", "--stats", stats])
+        assert code == 0
+        document = json.loads(stats.read_text())
+        records = document["bisections"]
+        assert len(records) == 3   # k=4 needs three bisections
+        for record in records:
+            assert set(record) == {"levels", "r", "s", "cost"}
+            assert len(record["r"]) == len(record["s"]) == record["levels"]
+        assert sum(record["cost"] for record in records) == document["cost"]
+
     def test_fixed_threshold_flags(self, matrix_file, tmp_path):
         code = run_cli(["--input", matrix_file, "--sim-threshold", 0.4,
                         "--clus-threshold", 0.5, "--quiet",

@@ -7,11 +7,12 @@ import pytest
 from hypart import (Hypergraph, Matching, Partition, ThresholdState,
                     build_edge_partitions, cc_edge, cc_hypergraph, contract,
                     extract_cores, initial_threshold, match_in_cores,
-                    match_noncore, update_threshold, weighted_jaccard)
+                    match_noncore, update_threshold)
 from hypart.roughset import CoreDecomposition
 
 from conftest import (FixedOrderRng, make_path4, naive_cost, random_hypergraph,
                       random_weighted_hypergraph)
+from reference import weighted_jaccard
 
 
 class TestWeightedJaccard:

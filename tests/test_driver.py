@@ -6,12 +6,12 @@ import random
 import pytest
 
 from hypart import (Hypergraph, InfeasibleBalanceError, PartitionConfig,
-                    PHASE_KEYS, bipartition, brute_force_bipartition,
-                    induce_subhypergraph, max_imbalance, partition_cost,
-                    partition_kway, run_many)
+                    PHASE_KEYS, bipartition, induce_subhypergraph,
+                    max_imbalance, partition_cost, partition_kway, run_many)
 from hypart.driver import _part_interval, std_dev_percent
 
 from conftest import make_path4, naive_cost, random_hypergraph
+from reference import brute_force_bipartition
 
 
 def grid_hypergraph(rows, cols):

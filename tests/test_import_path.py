@@ -1,8 +1,10 @@
 """The partitioner's import path stays free of numpy and of slow
 standard-library modules.
 
-numpy backs only the exhaustive reference bipartitioner, so importing
-the package or its command line must not load it. The command line pays
+The package needs only the standard library: numpy backs only the
+exhaustive reference bipartitioner of the tests, so importing the
+package or its command line must not load it, and the command line must
+partition a matrix where numpy cannot be imported. The command line pays
 its import time on every call, so its records are NamedTuples rather
 than dataclasses (which load ``inspect``) and its run summary uses
 ``math`` rather than ``statistics`` (which loads ``decimal`` and
@@ -52,9 +54,31 @@ def test_cli_import_leaves_slow_stdlib_modules_unloaded():
 def test_oracle_loads_numpy_on_first_call():
     out = run_fresh(
         "import sys\n"
-        "from hypart import brute_force_bipartition\n"
+        "from reference import brute_force_bipartition\n"
         "from conftest import make_path4\n"
         "before = 'numpy' in sys.modules\n"
         "result = brute_force_bipartition(make_path4(), 0.1)\n"
         "print(before, 'numpy' in sys.modules, result.best_cost)\n")
     assert out == "False True 1"
+
+
+def test_cli_partitions_without_numpy(tmp_path):
+    # A ring of 16 rows: column j holds rows j and j+1 (mod 16).
+    n = 16
+    entries = [(j, j) for j in range(n)] + [((j + 1) % n, j) for j in range(n)]
+    matrix = tmp_path / "ring.mtx"
+    matrix.write_text(
+        "%%MatrixMarket matrix coordinate pattern general\n"
+        f"{n} {n} {len(entries)}\n"
+        + "".join(f"{r + 1} {c + 1}\n" for r, c in entries))
+    out = tmp_path / "ring.part"
+    argv = ["--input", str(matrix), "--k", "4", "--runs", "2", "--quiet",
+            "--out", str(out), "--stats", str(tmp_path / "ring.stats.json")]
+    # A None entry in sys.modules makes every numpy import raise.
+    code = run_fresh(
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from hypart.cli import main\n"
+        f"print(main({argv!r}))\n")
+    assert code == "0"
+    assert sorted(set(map(int, out.read_text().split()))) == [0, 1, 2, 3]

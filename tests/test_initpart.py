@@ -27,7 +27,7 @@ class TestGenerateCandidate:
         assert p.assignment == [0] * 8 + [1] * 8
 
     def test_fm_seeded_reaches_path_optimum(self, path4):
-        from hypart import brute_force_bipartition
+        from reference import brute_force_bipartition
         oracle = brute_force_bipartition(path4, 0.1)
         assert oracle.best_cost == 1
         for seed in range(6):

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from hypart import (Hypergraph, InfeasibleBalanceError, max_imbalance,
-                    partition_cost, brute_force_bipartition)
+                    partition_cost)
 
 from conftest import naive_cost, random_hypergraph
+from reference import brute_force_bipartition
 
 
 class TestBruteForce:

@@ -5,13 +5,13 @@ import random
 
 import pytest
 
-from hypart import (Hypergraph, build_edge_partitions, extract_cores,
-                    hyperedge_similarity, info_value, reduced_value)
+from hypart import Hypergraph, build_edge_partitions, extract_cores
 from hypart import roughset
 
 from conftest import (SAMPLE16_CLUSTERS, SAMPLE16_CORES, SAMPLE16_NON_CORE,
                       SAMPLE16_SINGLETONS, random_hypergraph,
                       random_weighted_hypergraph)
+from reference import hyperedge_similarity, info_value, reduced_value
 
 
 class TestInfoValue:
