@@ -7,7 +7,7 @@ times, the final cost and imbalance, the per-run summary and the best
 run's bisection records.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime error
-(I/O failures, malformed input, infeasible balance).
+(I/O failures, malformed or undecodable input, infeasible balance).
 """
 
 from __future__ import annotations
@@ -32,15 +32,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _threshold(value: str):
-    if value == "auto":
-        return "auto"
-    try:
-        return float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected 'auto' or a float, got {value!r}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="hypart",
@@ -55,10 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="independent repetitions, seeds seed..seed+runs-1 (default 1)")
     parser.add_argument("--edge-weights", choices=WEIGHT_SCHEMES, default="unit",
                         help="hyperedge weights: unit, or size = pin count (default unit)")
-    parser.add_argument("--sim-threshold", type=_threshold, default="auto",
-                        help="similarity threshold: auto (clustering coefficient) or a float")
-    parser.add_argument("--clus-threshold", type=_threshold, default="auto",
-                        help="clustering threshold: auto (0 with unit-cluster removal) or a float")
     parser.add_argument("--out", default=None,
                         help="partition output path (default <input>.part)")
     parser.add_argument("--stats", default=None,
@@ -70,11 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = PartitionConfig(
-        k=args.k, epsilon=args.epsilon, seed=args.seed, runs=args.runs,
-        similarity_threshold=args.sim_threshold,
-        clustering_threshold=args.clus_threshold,
-    )
+    cfg = PartitionConfig(k=args.k, epsilon=args.epsilon, seed=args.seed, runs=args.runs)
     try:
         cfg.validate()
     except ValueError as exc:
@@ -91,7 +74,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as exc:
         print(f"hypart: cannot read {args.input}: {exc}", file=sys.stderr)
         return 2
-    except MatrixFormatError as exc:
+    except (MatrixFormatError, UnicodeDecodeError) as exc:
         print(f"hypart: {args.input}: {exc}", file=sys.stderr)
         return 2
     read_seconds = time.perf_counter() - read_start

@@ -20,7 +20,7 @@ import math
 import random
 import time
 from contextlib import contextmanager
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .coarsen import (LevelLink, contract, initial_threshold, match_in_cores,
                       match_noncore, update_threshold, ThresholdState)
@@ -48,8 +48,6 @@ FMEE_FINEST_LEVELS = 2
 class PartitionConfig(NamedTuple):
     k: int = 2
     epsilon: float = 0.02
-    similarity_threshold: Union[str, float] = "auto"   # "auto" uses the CC seed
-    clustering_threshold: Union[str, float] = "auto"   # "auto" is 0 + unit-cluster removal
     seed: int = 1
     runs: int = 1
 
@@ -58,10 +56,6 @@ class PartitionConfig(NamedTuple):
             raise ValueError("k must be at least 2")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        if self.similarity_threshold != "auto" and not 0.0 < float(self.similarity_threshold) < 1.0:
-            raise ValueError("fixed similarity threshold must lie in (0, 1)")
-        if self.clustering_threshold != "auto" and not 0.0 <= float(self.clustering_threshold) <= 1.0:
-            raise ValueError("fixed clustering threshold must lie in [0, 1]")
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
 
@@ -89,23 +83,13 @@ class PhaseTimer:
             self.times[name] += time.perf_counter() - start
 
 
-def _resolve_thresholds(cfg: PartitionConfig) -> Tuple[Optional[float], float, bool]:
-    """Fixed similarity threshold (or None for auto), clustering threshold
-    and whether unit clusters are dropped."""
-    sim = None if cfg.similarity_threshold == "auto" else float(cfg.similarity_threshold)
-    if cfg.clustering_threshold == "auto":
-        return sim, 0.0, True
-    return sim, float(cfg.clustering_threshold), False
-
-
 class _InputLevel:
     """Seed-independent work on the input hypergraph of a set of runs.
 
     Validation and the first coarsening level's threshold state and
-    cores depend only on the input and on the config without its seed,
-    so the runs of :func:`run_many` share them: the first run that needs
-    one computes it, inside its own phase timers, and later runs reuse
-    it.
+    cores depend only on the input, so the runs of :func:`run_many`
+    share them: the first run that needs one computes it, inside its own
+    phase timers, and later runs reuse it.
     """
 
     def __init__(self, h: Hypergraph):
@@ -114,26 +98,24 @@ class _InputLevel:
         self.first_level: Optional[Tuple[ThresholdState, CoreDecomposition]] = None
 
 
-def _cluster_level(h: Hypergraph, cfg: PartitionConfig, ts: Optional[ThresholdState],
+def _cluster_level(h: Hypergraph, ts: Optional[ThresholdState],
                    timer: PhaseTimer) -> Tuple[ThresholdState, CoreDecomposition]:
-    """Threshold state (seeded when ``ts`` is None), hyperedge clusters and
-    vertex cores of one coarsening level."""
-    sim_fixed, clus_c, drop_unit = _resolve_thresholds(cfg)
+    """Threshold state (seeded from the clustering coefficient when ``ts``
+    is None), hyperedge clusters and vertex cores of one coarsening level.
+
+    Cores use clustering threshold 0 with unit clusters dropped.
+    """
     with timer.phase("hcg"):
         if ts is None:
-            if sim_fixed is not None:
-                ts = ThresholdState(sim_fixed, h.avg_degree())
-            else:
-                ts = initial_threshold(h)
+            ts = initial_threshold(h)
         ep = build_edge_partitions(h, ts.s)
     with timer.phase("matching"):
-        cores = extract_cores(h, ep, clus_c, drop_unit_clusters=drop_unit)
+        cores = extract_cores(h, ep, 0.0, drop_unit_clusters=True)
     return ts, cores
 
 
-def _bipartition_window(h: Hypergraph, cfg: PartitionConfig, rng: random.Random,
-                        window: BalanceWindow, timer: PhaseTimer,
-                        shared: _InputLevel) -> Tuple[Partition, dict]:
+def _bipartition_window(h: Hypergraph, rng: random.Random, window: BalanceWindow,
+                        timer: PhaseTimer, shared: _InputLevel) -> Tuple[Partition, dict]:
     """One full V-cycle on ``h`` targeting the given balance window.
 
     When ``h`` is the input hypergraph of ``shared``, its first level's
@@ -141,8 +123,6 @@ def _bipartition_window(h: Hypergraph, cfg: PartitionConfig, rng: random.Random,
     :class:`InfeasibleBalanceError` when the refined partition of ``h``
     ends outside the window.
     """
-    sim_fixed = _resolve_thresholds(cfg)[0]
-
     levels: List[LevelLink] = []
     ratios: List[float] = []
     thresholds: List[float] = []
@@ -152,10 +132,10 @@ def _bipartition_window(h: Hypergraph, cfg: PartitionConfig, rng: random.Random,
     while current.num_vertices > COARSEST_SIZE and current.num_hyperedges > 0:
         if current is shared.h:
             if shared.first_level is None:
-                shared.first_level = _cluster_level(current, cfg, ts, timer)
+                shared.first_level = _cluster_level(current, ts, timer)
             ts, cores = shared.first_level
         else:
-            ts, cores = _cluster_level(current, cfg, ts, timer)
+            ts, cores = _cluster_level(current, ts, timer)
         with timer.phase("matching"):
             matching, leftovers = match_in_cores(current, cores, rng)
             matching = match_noncore(current, matching, leftovers, rng)
@@ -170,11 +150,10 @@ def _bipartition_window(h: Hypergraph, cfg: PartitionConfig, rng: random.Random,
         current = link.coarse
         if ratio < STAGNATION_RATIO:
             break
-        if sim_fixed is None:
-            with timer.phase("hcg"):
-                new_degree = current.avg_degree()
-                if new_degree > 0:
-                    ts = update_threshold(ts, new_degree)
+        with timer.phase("hcg"):
+            new_degree = current.avg_degree()
+            if new_degree > 0:
+                ts = update_threshold(ts, new_degree)
 
     with timer.phase("initpart"):
         candidates = []
@@ -292,7 +271,7 @@ def _partition_run(shared: _InputLevel, cfg: PartitionConfig) -> Tuple[Partition
                 f"empty balance window for a {k1}:{k2} split of weight {w_node}")
         target = min(max(w_node * k1 / k_node, lower), upper)
         window = BalanceWindow(float(lower), float(upper), target)
-        p, info = _bipartition_window(sub, cfg, rng, window, timer, shared)
+        p, info = _bipartition_window(sub, rng, window, timer, shared)
         bisections.append(info)
         with timer.phase("recursion"):
             sub0, back0 = induce_subhypergraph(sub, p, 0)

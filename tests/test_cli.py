@@ -76,9 +76,7 @@ class TestCli:
 
     @pytest.mark.parametrize("flags", [
         ["--k", 1], ["--epsilon", 0], ["--epsilon", 1], ["--runs", 0],
-        ["--sim-threshold", 1.0], ["--clus-threshold", 1.5],
-    ], ids=["k-1", "epsilon-0", "epsilon-1", "runs-0", "sim-threshold-1.0",
-            "clus-threshold-1.5"])
+    ], ids=["k-1", "epsilon-0", "epsilon-1", "runs-0"])
     def test_bad_config_is_usage_error(self, matrix_file, tmp_path, flags):
         with pytest.raises(SystemExit) as excinfo:
             run_cli(["--input", matrix_file, *flags,
@@ -91,9 +89,14 @@ class TestCli:
             run_cli(["--input", tmp_path / "absent.mtx", "--epsilon", 0])
         assert excinfo.value.code == 1
 
-    def test_unknown_flag_rejected(self, matrix_file):
+    # The similarity and clustering thresholds come from the input, so no
+    # flag sets them.
+    @pytest.mark.parametrize("flags", [
+        ["--frobnicate"], ["--sim-threshold", 0.5], ["--clus-threshold", 0.5],
+    ], ids=["frobnicate", "sim-threshold", "clus-threshold"])
+    def test_unknown_flag_rejected(self, matrix_file, flags):
         with pytest.raises(SystemExit) as excinfo:
-            run_cli(["--input", matrix_file, "--frobnicate"])
+            run_cli(["--input", matrix_file, *flags])
         assert excinfo.value.code == 1
 
     def test_missing_input_is_runtime_error(self, tmp_path, capsys):
@@ -107,6 +110,21 @@ class TestCli:
         code = run_cli(["--input", bad, "--out", tmp_path / "p",
                         "--stats", tmp_path / "s"])
         assert code == 2
+
+    @pytest.mark.parametrize("text", [
+        b"%%MatrixMarket matrix coordinate pattern gen\xffral\n3 2 4\n1 1\n2 1\n2 2\n3 2\n",
+        b"%%MatrixMarket matrix coordinate pattern general\n3 2 4\n1 1\n2 1\n2 2\n3 \xff2\n",
+    ], ids=["header", "entry"])
+    def test_undecodable_input_is_runtime_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.mtx"
+        bad.write_bytes(text)
+        code = run_cli(["--input", bad, "--out", tmp_path / "p",
+                        "--stats", tmp_path / "s"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith(f"hypart: {bad}: ")
+        assert err.count("\n") == 1
 
     def test_infeasible_balance_is_runtime_error(self, tmp_path, capsys):
         # Three unit rows cannot split into two parts of weight 1.47-1.53.
@@ -149,17 +167,6 @@ class TestCli:
             assert set(record) == {"levels", "r", "s", "cost"}
             assert len(record["r"]) == len(record["s"]) == record["levels"]
         assert sum(record["cost"] for record in records) == document["cost"]
-
-    def test_fixed_threshold_flags(self, matrix_file, tmp_path):
-        code = run_cli(["--input", matrix_file, "--sim-threshold", 0.4,
-                        "--clus-threshold", 0.5, "--quiet",
-                        "--out", tmp_path / "p", "--stats", tmp_path / "s"])
-        assert code == 0
-
-    def test_bad_threshold_value(self, matrix_file):
-        with pytest.raises(SystemExit) as excinfo:
-            run_cli(["--input", matrix_file, "--sim-threshold", "nonsense"])
-        assert excinfo.value.code == 1
 
     def test_default_output_paths(self, matrix_file):
         code = run_cli(["--input", matrix_file, "--quiet"])

@@ -60,15 +60,6 @@ class TestBipartition:
         assert all(0.05 <= s <= 0.95 for s in info["s"])
         assert max_imbalance(h, p) <= 0.05
 
-    def test_fixed_thresholds(self):
-        h = grid_hypergraph(8, 8)
-        cfg = PartitionConfig(epsilon=0.1, seed=2,
-                              similarity_threshold=0.5,
-                              clustering_threshold=0.5)
-        p, info = bipartition(h, cfg)
-        assert all(s == 0.5 for s in info["s"])
-        assert max_imbalance(h, p) <= 0.1
-
     def test_checks_input_like_partition_kway(self):
         # bipartition is the k=2 case of partition_kway, so it rejects
         # what partition_kway rejects, whatever k the config names.
@@ -321,11 +312,9 @@ class TestSharedInputLevel:
     # once however many runs it makes.
     CONFIGS = [
         PartitionConfig(k=4, epsilon=0.05, seed=3, runs=3),
-        PartitionConfig(k=4, epsilon=0.05, seed=3, runs=3,
-                        similarity_threshold=0.5, clustering_threshold=0.5),
     ]
 
-    @pytest.mark.parametrize("cfg", CONFIGS, ids=["auto", "fixed"])
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["auto"])
     def test_input_work_done_once(self, monkeypatch, cfg):
         import hypart.driver as drv
 
@@ -346,12 +335,10 @@ class TestSharedInputLevel:
             monkeypatch.setattr(drv, name, counting(name))
         summary = run_many(h, cfg)
         assert len(summary["runs"]) == 3
-        expected = {"validate": 1, "build_edge_partitions": 1, "extract_cores": 1}
-        if cfg.similarity_threshold == "auto":
-            expected["initial_threshold"] = 1
-        assert calls == expected
+        assert calls == {"validate": 1, "initial_threshold": 1,
+                         "build_edge_partitions": 1, "extract_cores": 1}
 
-    @pytest.mark.parametrize("cfg", CONFIGS, ids=["auto", "fixed"])
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["auto"])
     def test_runs_match_single_seed_runs(self, monkeypatch, cfg):
         import hypart.driver as drv
 

@@ -54,10 +54,6 @@ CASES = [
     # The best of three seeded runs; here the third run is the cheapest.
     ("runs3-unit-k4", dict(seed=27, rows=300, band=12, max_pins=5, size_weights=False),
      dict(k=4, runs=3)),
-    # Fixed thresholds: no CC seed, no unit-cluster removal; the root
-    # level has ten cores.
-    ("fixed-thresholds-k4", dict(seed=21, rows=300, band=4, max_pins=3, size_weights=True),
-     dict(k=4, similarity_threshold=0.5, clustering_threshold=0.5)),
 ]
 
 GOLDEN = {
@@ -68,7 +64,6 @@ GOLDEN = {
     "vweight-size-k4": "138f9d0ec5833a19971072d2502ea1d0a2f74da22db371fbd22a6f5a58904932",
     "vweight-size-k8": "a1c7af05ebef6716c93be58eda8f1ada94c646b1fb88758fceb4b9935aa4112d",
     "runs3-unit-k4": "cef6ea83ef771e6257f0a99c533ddcb887421a333d4410faa310e9a8bf7eb687",
-    "fixed-thresholds-k4": "22430b72db385f63a04a011be5788060a50768cf9803d35533ab2fce9b289861",
 }
 
 
