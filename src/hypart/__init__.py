@@ -8,8 +8,7 @@ up the levels. Recursive bisection extends the bipartitioner to k parts.
 """
 
 from .model import (BalanceWindow, Hypergraph, InfeasibleBalanceError,
-                    Partition, connectivity_degree, max_imbalance,
-                    partition_cost, validate)
+                    Partition, max_imbalance, partition_cost, validate)
 from .io import (MatrixFormatError, PartitionFormatError, read_matrix_market,
                  read_partition, write_partition, WEIGHT_SCHEMES)
 from .roughset import (CoreDecomposition, EdgePartitioning,
@@ -26,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BalanceWindow", "Hypergraph", "InfeasibleBalanceError", "Partition",
-    "connectivity_degree", "max_imbalance", "partition_cost", "validate",
+    "max_imbalance", "partition_cost", "validate",
     "MatrixFormatError", "PartitionFormatError", "read_matrix_market",
     "read_partition", "write_partition", "WEIGHT_SCHEMES",
     "CoreDecomposition", "EdgePartitioning", "build_edge_partitions",

@@ -26,7 +26,7 @@ from .coarsen import (LevelLink, contract, initial_threshold, match_in_cores,
                       match_noncore, update_threshold, ThresholdState)
 from .initpart import INIT_METHODS, generate_candidate, select_best
 from .model import (BalanceWindow, Hypergraph, InfeasibleBalanceError,
-                    Partition, derive_hypergraph, max_imbalance,
+                    Partition, dense_tables, derive_hypergraph, max_imbalance,
                     partition_cost, validate)
 from .refine import refine_bipartition, project
 from .roughset import CoreDecomposition, build_edge_partitions, extract_cores
@@ -161,6 +161,7 @@ def _bipartition_window(h: Hypergraph, rng: random.Random, window: BalanceWindow
             for _ in range(INIT_REPEATS):
                 candidates.append(generate_candidate(current, method, rng, window=window))
         p = select_best(candidates, current, window=window)
+        fallback = window.violation(p.part_weight[0]) > 0
 
     with timer.phase("refinement"):
         _refine_level(current, p, window, level_pos=len(levels))
@@ -176,8 +177,14 @@ def _bipartition_window(h: Hypergraph, rng: random.Random, window: BalanceWindow
         raise InfeasibleBalanceError(
             f"no balanced bipartition found (part weights {p.part_weight})")
 
+    dense_levels = (dense_tables(current) is not None) + sum(
+        dense_tables(link.fine) is not None for link in levels)
     info = {"levels": len(levels), "r": ratios, "s": thresholds,
-            "cost": partition_cost(h, p)}
+            "cost": partition_cost(h, p),
+            "coarsest": {"vertices": current.num_vertices,
+                         "hyperedges": current.num_hyperedges,
+                         "pins": current.num_pins()},
+            "dense_fm": dense_levels, "fallback": fallback}
     return p, info
 
 

@@ -14,7 +14,7 @@ import random
 from typing import List, Sequence
 
 from .model import (BalanceWindow, Hypergraph, InfeasibleBalanceError,
-                    Partition, partition_cost)
+                    Partition, dense_tables, partition_cost)
 from .refine import refine_bipartition
 
 INIT_METHODS = ("random", "linear", "fm-seeded")
@@ -114,16 +114,22 @@ def select_best(candidates: Sequence[Partition], h: Hypergraph,
     repair the balance. An ``fm-seeded`` candidate of
     :func:`generate_candidate` carries the cost FM tracked for it, the
     seed's cost plus the refinement delta; other candidates are counted
-    here.
+    here, from the dense tables of ``h`` when it has them.
     """
     if not candidates:
         raise ValueError("select_best needs at least one candidate")
+    tables = dense_tables(h)
     best = None
     best_key = None
     for index, p in enumerate(candidates):
         violation = window.violation(p.part_weight[0])
         if violation == 0.0:
-            cost = p.cost if isinstance(p, _CostedCandidate) else partition_cost(h, p)
+            if isinstance(p, _CostedCandidate):
+                cost = p.cost
+            elif tables is not None:
+                cost = tables.cost(p.assignment)
+            else:
+                cost = partition_cost(h, p)
             key = (0, cost, index)
         else:
             key = (1, violation, index)

@@ -7,15 +7,27 @@ weights are positive integers. Partition quality is measured with the
 connectivity-minus-one cost (a hyperedge pays its weight once for every
 part it touches beyond the first) and with the worst relative deviation
 of a part weight from the average part weight.
+
+A dense hypergraph, one whose mean vertex degree is at least its vertex
+count, also gets bit-parallel incidence tables (:func:`dense_tables`,
+built by :mod:`hypart.dense`), on which FM and initial partitioning
+count with ``int.bit_count`` instead of walking pins.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from .dense import DenseTables
 
 
 class InfeasibleBalanceError(RuntimeError):
     """No partition can satisfy the requested balance constraint."""
+
+
+# Marks a hypergraph whose dense tables have not been looked at yet.
+_UNKNOWN = object()
 
 
 class Hypergraph:
@@ -40,6 +52,7 @@ class Hypergraph:
         "pins_by_hyperedge",
         "pins_by_vertex",
         "total_vertex_weight",
+        "_dense",
     )
 
     def __init__(
@@ -49,31 +62,41 @@ class Hypergraph:
         vertex_weight: Optional[Sequence[int]] = None,
         hyperedge_weight: Optional[Sequence[int]] = None,
     ):
-        self.num_vertices = num_vertices
-        self.pins_by_hyperedge = [sorted(pins) for pins in pins_by_hyperedge]
-        self.num_hyperedges = len(self.pins_by_hyperedge)
-        if vertex_weight is None:
-            self.vertex_weight = [1] * num_vertices
-        else:
-            self.vertex_weight = list(vertex_weight)
-        if hyperedge_weight is None:
-            self.hyperedge_weight = [1] * self.num_hyperedges
-        else:
-            self.hyperedge_weight = list(hyperedge_weight)
-
+        pins = [sorted(p) for p in pins_by_hyperedge]
         by_vertex: List[List[int]] = [[] for _ in range(num_vertices)]
-        for e, pins in enumerate(self.pins_by_hyperedge):
-            for v in pins:
+        for e, edge in enumerate(pins):
+            for v in edge:
                 if 0 <= v < num_vertices:
                     by_vertex[v].append(e)
-        self.pins_by_vertex = by_vertex
-        self.total_vertex_weight = sum(self.vertex_weight)
+        self._fill(num_vertices, pins, by_vertex,
+                   [1] * num_vertices if vertex_weight is None else list(vertex_weight),
+                   [1] * len(pins) if hyperedge_weight is None else list(hyperedge_weight))
 
-    def degree(self, v: int) -> int:
-        return len(self.pins_by_vertex[v])
+    @classmethod
+    def _from_sorted(cls, num_vertices: int, pins_by_hyperedge: List[List[int]],
+                     vertex_weight: List[int], hyperedge_weight: List[int]) -> "Hypergraph":
+        """Build from pin lists that are already sorted, duplicate free and
+        in range, taking ownership of the given lists instead of copying
+        them."""
+        by_vertex: List[List[int]] = [[] for _ in range(num_vertices)]
+        for e, pins in enumerate(pins_by_hyperedge):
+            for v in pins:
+                by_vertex[v].append(e)
+        h = cls.__new__(cls)
+        h._fill(num_vertices, pins_by_hyperedge, by_vertex, vertex_weight, hyperedge_weight)
+        return h
 
-    def edge_size(self, e: int) -> int:
-        return len(self.pins_by_hyperedge[e])
+    def _fill(self, num_vertices: int, pins_by_hyperedge: List[List[int]],
+              pins_by_vertex: List[List[int]], vertex_weight: List[int],
+              hyperedge_weight: List[int]) -> None:
+        self.num_vertices = num_vertices
+        self.pins_by_hyperedge = pins_by_hyperedge
+        self.num_hyperedges = len(pins_by_hyperedge)
+        self.pins_by_vertex = pins_by_vertex
+        self.vertex_weight = vertex_weight
+        self.hyperedge_weight = hyperedge_weight
+        self.total_vertex_weight = sum(vertex_weight)
+        self._dense = _UNKNOWN
 
     def num_pins(self) -> int:
         return sum(len(p) for p in self.pins_by_hyperedge)
@@ -124,23 +147,58 @@ def derive_hypergraph(h: Hypergraph, vertex_map: Sequence[int],
 
     image = vertex_map.__getitem__
     groups: dict[Tuple[int, ...], int] = {}
-    pins_out: List[Tuple[int, ...]] = []
+    pins_out: List[List[int]] = []
     weight_out: List[int] = []
     for pins, w in zip(h.pins_by_hyperedge, h.hyperedge_weight):
         mapped = set(map(image, pins))
         mapped.discard(-1)
         if len(mapped) < 2:
             continue
-        key = tuple(sorted(mapped))
+        fused = sorted(mapped)
+        key = tuple(fused)
         idx = groups.get(key)
         if idx is None:
             groups[key] = len(pins_out)
-            pins_out.append(key)
+            pins_out.append(fused)
             weight_out.append(w)
         else:
             weight_out[idx] += w
-    return Hypergraph(num_vertices, pins_out, vertex_weight=vertex_weight,
-                      hyperedge_weight=weight_out)
+    return Hypergraph._from_sorted(num_vertices, pins_out, vertex_weight, weight_out)
+
+
+def is_dense(h: Hypergraph) -> bool:
+    """Whether ``h`` gets dense tables: its mean vertex degree is
+    at least its vertex count, and its ``n`` incidence masks of ``m``
+    bits take no more than one 64-bit word per pin.
+
+    An FM move then recounts the gain of each of at most ``n - 1``
+    neighbours from the tables, which is cheaper than walking the
+    ``deg(v)`` hyperedges of the moved vertex and their pins. The second
+    condition keeps the tables no larger than the pin lists and each
+    mask no longer, in words, than the mean degree; without it a level
+    with many small hyperedges would recount over masks much longer than
+    the walk it replaces.
+    """
+    n = h.num_vertices
+    pins = h.num_pins()
+    return pins >= n * n and n * h.num_hyperedges <= 64 * pins
+
+
+def dense_tables(h: Hypergraph) -> Optional["DenseTables"]:
+    """The :class:`~hypart.dense.DenseTables` of ``h``, or None when ``h``
+    is not dense or has a hyperedge weight that is not a positive integer
+    (or a repeated pin). Built on first use and kept on ``h``, so they
+    live exactly as long as ``h``. :mod:`hypart.dense` is imported only
+    then, which keeps it off the start-up path of inputs without a dense
+    level."""
+    tables = h._dense
+    if tables is _UNKNOWN:
+        tables = None
+        if is_dense(h):
+            from .dense import build_tables
+            tables = build_tables(h)
+        h._dense = tables
+    return tables
 
 
 class Partition:
@@ -211,14 +269,6 @@ def validate(h: Hypergraph) -> List[str]:
     if rebuilt != h.pins_by_vertex:
         problems.append("pins_by_vertex is not the transpose of pins_by_hyperedge")
     return problems
-
-
-def connectivity_degree(h: Hypergraph, p: Partition, e: int) -> int:
-    """Number of distinct parts touched by hyperedge ``e``."""
-    if not 0 <= e < h.num_hyperedges:
-        raise IndexError(f"hyperedge id {e} out of range")
-    assignment = p.assignment
-    return len({assignment[v] for v in h.pins_by_hyperedge[e]})
 
 
 def partition_cost(h: Hypergraph, p: Partition) -> int:

@@ -36,6 +36,13 @@ is skipped at once, a side whose heaviest vertex may move takes the
 lowest id of its top bucket, and only in between are buckets walked
 downward, with admissibility memoised per weight. The argument needs a
 nonempty window, which :func:`fm_pass` checks.
+
+Gains are updated after a move in one of two ways, which give the same
+gains and therefore the same moves. :class:`_FmState` walks the pins of
+the moved vertex's critical hyperedges. On a level with dense tables
+(:func:`~hypart.model.dense_tables`), the subclass
+:class:`hypart.dense._DenseFmState` recounts each unlocked neighbour's
+gain from bit-sliced pin counts instead.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ import heapq
 from typing import Dict, List, Optional, Set, Tuple
 
 from .coarsen import LevelLink
-from .model import BalanceWindow, Hypergraph, Partition
+from .model import BalanceWindow, Hypergraph, Partition, dense_tables
 
 
 # The two pass flavours: boundary FM and early-exit FM.
@@ -109,20 +116,10 @@ class _FmState:
         assignment = p.assignment
         n = h.num_vertices
 
-        count0, gains, self.cost = _recount(h, assignment)
-        self.count0 = count0
-        self.gains = gains
-
+        self.gains, self.cost, self.in_struct = self._count()
         self.locked = [False] * n
-        if boundary_only:
-            in_struct = [False] * n
-            for e, pins in enumerate(h.pins_by_hyperedge):
-                if 0 < count0[e] < len(pins):
-                    for v in pins:
-                        in_struct[v] = True
-        else:
-            in_struct = [True] * n
-        self.in_struct = in_struct
+        gains = self.gains
+        in_struct = self.in_struct
         buckets: List[Dict[int, Set[int]]] = [{}, {}]
         for v in range(n):
             if in_struct[v]:
@@ -142,6 +139,24 @@ class _FmState:
         self.wmax = h.max_vertex_weight()
         self.lo_soft = min(window.lower, window.target - self.wmax)
         self.hi_soft = max(window.upper, window.target + self.wmax)
+
+    def _count(self) -> Tuple[List[int], int, List[bool]]:
+        """Gains, cut cost and the initial eligibility flags, from
+        scratch; keeps the part-0 pin counts."""
+        h = self.h
+        self.count0, gains, cost = _recount(h, self.p.assignment)
+        if not self.boundary_only:
+            return gains, cost, [True] * h.num_vertices
+        eligible = [False] * h.num_vertices
+        for c0, pins in zip(self.count0, h.pins_by_hyperedge):
+            if 0 < c0 < len(pins):
+                for v in pins:
+                    eligible[v] = True
+        return gains, cost, eligible
+
+    def _count0(self) -> List[int]:
+        """Part-0 pin count of every hyperedge, as the pass tracks it."""
+        return self.count0
 
     def admissible(self, side: int, weight: int) -> bool:
         """Whether a vertex of ``weight`` may move off ``side`` now."""
@@ -204,9 +219,35 @@ class _FmState:
         return min(best0[1], best1[1])
 
     def apply_move(self, v: int) -> None:
-        h = self.h
         p = self.p
-        assignment = p.assignment
+        a = p.assignment[v]
+        b = 1 - a
+        # Unhook v first: it leaves side a, and a locked vertex takes no
+        # gain updates.
+        if self.in_struct[v]:
+            self.in_struct[v] = False
+            side = self.buckets[a]
+            gain = self.gains[v]
+            bucket = side[gain]
+            bucket.remove(v)
+            if not bucket:
+                del side[gain]
+        self.locked[v] = True
+        self._update_gains(v, a)
+        weight = self.h.vertex_weight[v]
+        p.assignment[v] = b
+        p.part_weight[a] -= weight
+        p.part_weight[b] += weight
+        self.violation = self.window.violation(p.part_weight[0])
+        self.part_size[a] -= 1
+        self.part_size[b] += 1
+
+    def _update_gains(self, v: int, a: int) -> None:
+        """Update pin counts, cost, gains, buckets and eligibility for the
+        move of the locked vertex ``v`` off side ``a``, walking the pins of
+        the critical hyperedges of ``v``."""
+        h = self.h
+        assignment = self.p.assignment
         gains = self.gains
         locked = self.locked
         in_struct = self.in_struct
@@ -217,18 +258,6 @@ class _FmState:
         hyperedge_weight = h.hyperedge_weight
         heappush = heapq.heappush
         cost = self.cost
-        a = assignment[v]
-        b = 1 - a
-        # Unhook v first: it leaves side a, and a locked vertex takes no
-        # gain updates.
-        if in_struct[v]:
-            in_struct[v] = False
-            side = buckets[a]
-            bucket = side[gains[v]]
-            bucket.remove(v)
-            if not bucket:
-                del side[gains[v]]
-        locked[v] = True
         for e in h.pins_by_vertex[v]:
             pins = pins_by_hyperedge[e]
             w = hyperedge_weight[e]
@@ -290,13 +319,6 @@ class _FmState:
                 else:
                     bucket.add(u)
         self.cost = cost
-        weight = h.vertex_weight[v]
-        assignment[v] = b
-        p.part_weight[a] -= weight
-        p.part_weight[b] += weight
-        self.violation = self.window.violation(p.part_weight[0])
-        self.part_size[a] -= 1
-        self.part_size[b] += 1
 
     def audit(self) -> None:
         """Recount pin counts, cost and gains from scratch and check the
@@ -305,7 +327,7 @@ class _FmState:
         h = self.h
         assignment = self.p.assignment
         count0, fresh, cost = _recount(h, assignment)
-        if count0 != self.count0:
+        if count0 != self._count0():
             raise FmAuditError("incremental pin count drift")
         if cost != self.cost:
             raise FmAuditError(f"incremental cost drift: {self.cost} != {cost}")
@@ -357,7 +379,11 @@ def fm_pass(h: Hypergraph, p: Partition, mode: str, window: BalanceWindow,
         # Move selection relies on the window being a nonempty interval.
         raise ValueError("empty balance window")
 
-    state = _FmState(h, p, window, boundary_only=(mode == "bfm"))
+    if dense_tables(h) is None:
+        state = _FmState(h, p, window, boundary_only=(mode == "bfm"))
+    else:
+        from .dense import _DenseFmState
+        state = _DenseFmState(h, p, window, boundary_only=(mode == "bfm"))
     initial_cost = state.cost
     # States compare by violation, then cost; a violation is exactly 0.0
     # or above 1e-9, so balanced states come first.

@@ -20,6 +20,24 @@ from hypart import EdgePartitioning, Hypergraph, InfeasibleBalanceError, Partiti
 MAX_VERTICES = 20
 
 
+def degree(h: Hypergraph, v: int) -> int:
+    """Number of hyperedges incident to vertex ``v``."""
+    return len(h.pins_by_vertex[v])
+
+
+def edge_size(h: Hypergraph, e: int) -> int:
+    """Number of pins of hyperedge ``e``."""
+    return len(h.pins_by_hyperedge[e])
+
+
+def connectivity_degree(h: Hypergraph, p: Partition, e: int) -> int:
+    """Number of distinct parts touched by hyperedge ``e``."""
+    if not 0 <= e < h.num_hyperedges:
+        raise IndexError(f"hyperedge id {e} out of range")
+    assignment = p.assignment
+    return len({assignment[v] for v in h.pins_by_hyperedge[e]})
+
+
 def info_value(h: Hypergraph, v: int, e: int) -> float:
     """Information-system value of vertex ``v`` at hyperedge ``e``.
 

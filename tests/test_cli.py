@@ -164,8 +164,12 @@ class TestCli:
         records = document["bisections"]
         assert len(records) == 3   # k=4 needs three bisections
         for record in records:
-            assert set(record) == {"levels", "r", "s", "cost"}
+            assert set(record) == {"levels", "r", "s", "cost", "coarsest", "dense_fm",
+                                   "fallback"}
             assert len(record["r"]) == len(record["s"]) == record["levels"]
+            assert set(record["coarsest"]) == {"vertices", "hyperedges", "pins"}
+            assert 0 <= record["dense_fm"] <= record["levels"] + 1
+            assert record["fallback"] in (True, False)
         assert sum(record["cost"] for record in records) == document["cost"]
 
     def test_default_output_paths(self, matrix_file):

@@ -12,7 +12,7 @@ from hypart.roughset import CoreDecomposition
 
 from conftest import (FixedOrderRng, make_path4, naive_cost, random_hypergraph,
                       random_weighted_hypergraph)
-from reference import weighted_jaccard
+from reference import degree, edge_size, weighted_jaccard
 
 
 class TestWeightedJaccard:
@@ -376,11 +376,11 @@ class TestClusteringCoefficient:
             want = [reference_cc_edge(h, e) for e in range(h.num_hyperedges)]
             for e, ref in enumerate(want):
                 assert abs(cc_edge(h, e) - ref) <= 1e-12
-                size = h.edge_size(e)
+                size = edge_size(h, e)
                 unit += size == 1
                 isolated += size > 1 and ref == 0.0
             assert abs(cc_hypergraph(h) - sum(want) / len(want)) <= 1e-12
-            dense += any(h.degree(v) == h.num_hyperedges > 3 for v in range(h.num_vertices))
+            dense += any(degree(h, v) == h.num_hyperedges > 3 for v in range(h.num_vertices))
         assert isolated and unit and dense
 
     def test_unit_hyperedge_is_zero(self):

@@ -180,6 +180,20 @@ class TestPartitionKway:
         assert len(stats.bisections) == 3   # k=4 needs three bisections
         assert stats.seed == 3
 
+    def test_bisection_record_names_its_coarsest_level(self):
+        # A dense input at most COARSEST_SIZE vertices large is its own
+        # coarsest level, and its FM takes the bit-parallel gain update.
+        rng = random.Random(5)
+        h = Hypergraph(64, [rng.sample(range(64), 5) for _ in range(3500)])
+        _, record = bipartition(h, PartitionConfig(epsilon=0.05, seed=1))
+        assert record["levels"] == 0
+        assert record["coarsest"] == {"vertices": 64, "hyperedges": 3500, "pins": 17500}
+        assert record["dense_fm"] == 1
+        assert record["fallback"] is False
+        _, record = bipartition(grid_hypergraph(16, 16), PartitionConfig(epsilon=0.05, seed=2))
+        assert record["levels"] > 0 and record["dense_fm"] == 0
+        assert record["coarsest"]["vertices"] <= 100
+
 
 def reference_quota_interval(k, avg_part, epsilon):
     """Integer weight interval of a quota of k parts, by its recursive

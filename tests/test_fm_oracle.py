@@ -11,6 +11,12 @@ The fuzzed hypergraphs are small, so the fuzz draws the early-exit
 window of ``fm-ee`` passes from (1, 3, 50) by setting
 ``hypart.refine.EARLY_EXIT_WINDOW``; with the default of 50 alone no
 pass could stop early.
+
+The engine updates gains one of two ways: by walking the pins of the
+moved vertex's critical hyperedges, or, on a dense level, by recounting
+neighbour gains from bit-parallel tables. The differential tests run
+once per way, with the density predicate ``hypart.model.is_dense``
+forced to pick it.
 """
 
 import random
@@ -19,7 +25,8 @@ import pytest
 
 from hypart import (BalanceWindow, Hypergraph, Partition, fm_pass,
                     refine_bipartition)
-from hypart import refine
+from hypart import model, refine
+from hypart.dense import _DenseFmState
 from hypart.refine import FmAuditError, _FmState, _recount
 
 from conftest import naive_cost, random_weighted_hypergraph
@@ -224,6 +231,14 @@ def fuzz_cases(seed, count):
 
 
 class TestDifferentialFm:
+    """Both differential tests on the pin-walking gain update."""
+
+    dense = False
+
+    @pytest.fixture(autouse=True)
+    def gain_path(self, monkeypatch):
+        monkeypatch.setattr(model, "is_dense", lambda h: self.dense)
+
     def test_refine_bipartition_matches_reference(self, monkeypatch):
         for rng, h, window, mode, exit_window, start in fuzz_cases(101, 300):
             monkeypatch.setattr(refine, "EARLY_EXIT_WINDOW", exit_window)
@@ -232,8 +247,11 @@ class TestDifferentialFm:
             p = Partition.from_assignment(h, 2, start)
             delta = refine_bipartition(h, p, mode, window=window, max_passes=passes)
             assert (p.assignment, p.part_weight, delta) == expected
+            assert (model.dense_tables(h) is not None) == self.dense
 
     def test_audited_pass_matches_reference(self, monkeypatch):
+        # Both gain updates run inside the shared _FmState.apply_move,
+        # so the moves are recorded there.
         moves = []
         apply_move = _FmState.apply_move
 
@@ -252,9 +270,16 @@ class TestDifferentialFm:
             _, delta = fm_pass(h, p, mode, window=window, audit=True)
             assert [p.assignment, p.part_weight, delta] == expected
             assert moves == expected_moves
+            assert (model.dense_tables(h) is not None) == self.dense
             early_exits += exited_early
         # Some fm-ee passes stop on the stall rule with moves left.
         assert early_exits > 0
+
+
+class TestDifferentialFmDense(TestDifferentialFm):
+    """Both differential tests on the bit-parallel gain update."""
+
+    dense = True
 
 
 class TestRecount:
@@ -316,6 +341,33 @@ class TestAudit:
                          boundary_only=False)
         state.audit()
         return state
+
+    def dense_state(self, monkeypatch):
+        # The same hypergraph with hyperedge weights of two bits.
+        monkeypatch.setattr(model, "is_dense", lambda h: True)
+        h = Hypergraph(6, [[0, 1, 2], [2, 3], [3, 4, 5], [0, 5]],
+                       vertex_weight=[1, 2, 1, 3, 1, 2], hyperedge_weight=[1, 3, 2, 1])
+        p = Partition.from_assignment(h, 2, [0, 0, 0, 1, 1, 1])
+        state = _DenseFmState(h, p, BalanceWindow.symmetric(h.total_vertex_weight, 0.2),
+                              boundary_only=False)
+        state.audit()
+        # Side 1 holds 0, 1, 3 and 1 pins of the four hyperedges.
+        assert state.planes[1] == [0b1110, 0b0100]
+        return state
+
+    def test_detects_dense_count_drift(self, monkeypatch):
+        state = self.dense_state(monkeypatch)
+        state.planes[0][0] ^= 1 << 2
+        with pytest.raises(FmAuditError, match="pin count"):
+            state.audit()
+
+    def test_detects_dense_cost_drift(self, monkeypatch):
+        state = self.dense_state(monkeypatch)
+        state.apply_move(2)
+        state.audit()
+        state.cost += 1
+        with pytest.raises(FmAuditError, match="cost"):
+            state.audit()
 
     def test_detects_gain_drift(self):
         state = self.fresh_state()

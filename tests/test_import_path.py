@@ -82,3 +82,21 @@ def test_cli_partitions_without_numpy(tmp_path):
         f"print(main({argv!r}))\n")
     assert code == "0"
     assert sorted(set(map(int, out.read_text().split()))) == [0, 1, 2, 3]
+
+
+def test_dense_path_loads_on_first_dense_level():
+    # The bit-parallel FM module costs start-up only for inputs that
+    # reach a dense level: a path does not, the 20 triples of 6 vertices
+    # (60 pins >= 6 * 6) do.
+    out = run_fresh(
+        "import sys, itertools\n"
+        "import hypart.cli\n"
+        "from hypart import Hypergraph, PartitionConfig, bipartition\n"
+        "loaded = ['hypart.dense' in sys.modules]\n"
+        "bipartition(Hypergraph(8, [[i, i + 1] for i in range(7)]), PartitionConfig(epsilon=0.3))\n"
+        "loaded.append('hypart.dense' in sys.modules)\n"
+        "pins = list(itertools.combinations(range(6), 3))\n"
+        "bipartition(Hypergraph(6, pins), PartitionConfig(epsilon=0.3))\n"
+        "loaded.append('hypart.dense' in sys.modules)\n"
+        "print(loaded)\n")
+    assert out == "[False, False, True]"

@@ -10,6 +10,8 @@ from hypart import (Hypergraph, MatrixFormatError, Partition,
                     write_partition)
 from hypart.io import WEIGHT_SCHEMES
 
+from reference import edge_size
+
 
 def read(text, scheme="unit", stats=None):
     return read_matrix_market(io.StringIO(text), scheme=scheme, stats=stats)
@@ -36,7 +38,7 @@ class TestReadMatrixMarket:
         h = read(IDENTITY_3)
         assert h.num_vertices == 3
         assert h.num_hyperedges == 3
-        assert all(h.edge_size(e) == 1 for e in range(3))
+        assert all(edge_size(h, e) == 1 for e in range(3))
         assert h.hyperedge_weight == [1, 1, 1]
 
     def test_full_matrix_with_size_weights(self):

@@ -4,10 +4,13 @@ import random
 
 import pytest
 
-from hypart import (Hypergraph, Partition, connectivity_degree, max_imbalance,
+from hypart import (BalanceWindow, Hypergraph, Partition, fm_pass, max_imbalance,
                     partition_cost, validate)
+from hypart import model
+from hypart.model import dense_tables, is_dense
 
 from conftest import naive_cost, naive_connectivity, random_hypergraph
+from reference import connectivity_degree, edge_size
 
 
 class TestValidate:
@@ -81,7 +84,7 @@ class TestConnectivityDegree:
             p = Partition.from_assignment(h, k, assignment)
             for e in range(h.num_hyperedges):
                 lam = connectivity_degree(h, p, e)
-                assert 1 <= lam <= min(h.edge_size(e), k)
+                assert 1 <= lam <= min(edge_size(h, e), k)
 
 
 class TestPartitionCost:
@@ -157,6 +160,74 @@ class TestMaxImbalance:
             for v, a in enumerate(assignment):
                 expected[a] += h.vertex_weight[v]
             assert p.part_weight == expected
+
+
+def rect_level(rng, hyperedge_weight=None):
+    """A coarsest level shaped like rect-k2-r3's: 64 vertices, 3,500
+    random 5-pin nets."""
+    pins = [rng.sample(range(64), 5) for _ in range(3500)]
+    return Hypergraph(64, pins, hyperedge_weight=hyperedge_weight)
+
+
+class TestDenseTables:
+    def test_rect_level_is_dense(self):
+        h = rect_level(random.Random(3))
+        tables = dense_tables(h)
+        assert tables is not None
+        assert dense_tables(h) is tables   # built once, kept on the level
+        assert len(tables.weight_planes) == 1 and tables.count_bits == 3
+
+    def test_band_level_is_not(self):
+        # Nets of 2-8 rows near their column, as in the band workload.
+        rng = random.Random(3)
+        n = 2000
+        pins = [rng.sample(range(max(0, c - 30), min(n, c + 30)), rng.randint(2, 8))
+                for c in range(n)]
+        h = Hypergraph(n, pins)
+        assert not is_dense(h)
+        assert dense_tables(h) is None
+
+    def test_many_small_hyperedges_are_not(self):
+        # Mean degree 300 >= n, but 45,000 bits per mask is 150 words per
+        # pin: the tables would outgrow the pin lists.
+        rng = random.Random(3)
+        h = Hypergraph(300, [rng.sample(range(300), 2) for _ in range(45000)])
+        assert h.num_pins() >= h.num_vertices ** 2
+        assert dense_tables(h) is None
+
+    def test_float_weights_stay_on_the_list_path(self):
+        rng = random.Random(3)
+        weights = [rng.choice((0.5, 1.0, 2.5)) for _ in range(3500)]
+        h = rect_level(rng, hyperedge_weight=weights)
+        assert is_dense(h)
+        assert dense_tables(h) is None
+        p = Partition.from_assignment(h, 2, [v % 2 for v in range(64)])
+        before = partition_cost(h, p)
+        _, delta = fm_pass(h, p, "fm-ee", BalanceWindow.symmetric(64, 0.1))
+        assert partition_cost(h, p) == pytest.approx(before + delta)
+
+    def test_tables_match_their_definitions(self, monkeypatch):
+        monkeypatch.setattr(model, "is_dense", lambda h: True)
+        rng = random.Random(37)
+        for _ in range(100):
+            h = random_hypergraph(rng, max_vertices=12, size_weights=rng.random() < 0.5)
+            tables = dense_tables(h)
+            for v, incident in enumerate(h.pins_by_vertex):
+                assert tables.masks[v] == sum(1 << e for e in incident)
+                near = {u for e in incident for u in h.pins_by_hyperedge[e]} - {v}
+                assert tables.neighbours[v] == sorted(near)
+                assert all(m and m == tables.masks[v] & tables.weight_planes[b]
+                           for b, m in tables.vertex_planes[v])
+            for e, w in enumerate(h.hyperedge_weight):
+                assert tables.weight_of(1 << e) == w
+            assignment = [rng.randrange(2) for _ in range(h.num_vertices)]
+            p = Partition.from_assignment(h, 2, assignment)
+            assert tables.cost(assignment) == partition_cost(h, p)
+
+    def test_repeated_pin_has_no_tables(self, monkeypatch):
+        monkeypatch.setattr(model, "is_dense", lambda h: True)
+        assert dense_tables(Hypergraph(3, [[0, 1, 1], [1, 2]])) is None
+        assert dense_tables(Hypergraph(3, [[0, 1], [1, 2]])) is not None
 
 
 def make_sized_sample():
