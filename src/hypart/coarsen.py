@@ -176,7 +176,7 @@ def contract(h: Hypergraph, m: Matching) -> LevelLink:
     coarse pin sets fuse with summed weights.
     """
     coarse = derive_hypergraph(h, m.coarse_id, m.num_coarse)
-    return LevelLink(h, coarse, list(m.coarse_id))
+    return LevelLink(h, coarse, m.coarse_id)
 
 
 def cc_edge(h: Hypergraph, e: int) -> float:

@@ -110,11 +110,11 @@ class _DenseFmState(_FmState):
     one ripple add of the vertex's incidence mask, after which each
     unlocked neighbour's gain is recounted exactly: a vertex on side
     ``s`` gains the weight of its hyperedges in ``nz[1 - s]`` minus that
-    of its hyperedges in ``ge2[s]``. Buckets, selection and rollback are
-    those of :class:`_FmState`.
+    of its hyperedges in ``ge2[s]``. Buckets, vertex states, selection
+    and rollback are those of :class:`_FmState`.
     """
 
-    def _count(self) -> Tuple[List[int], int, List[bool]]:
+    def _count(self) -> Tuple[List[int], int, List[Optional[bool]]]:
         tables = self.tables = dense_tables(self.h)
         planes: List[List[int]] = [[0] * tables.count_bits, [0] * tables.count_bits]
         for mask, a in zip(tables.masks, self.p.assignment):
@@ -154,31 +154,26 @@ class _DenseFmState(_FmState):
     def _update_gains(self, v: int, a: int) -> None:
         tables = self.tables
         nz = self.nz
-        cut_before = nz[0] & nz[1]
         mask = tables.masks[v]
         _ripple_subtract(self.planes[a], mask)
         _ripple_add(self.planes[1 - a], mask)
         self._flag(0)
         self._flag(1)
-        cut = nz[0] & nz[1]
-        self.cost = tables.weight_of(cut)
-        # Hyperedges that enter the cut make their pins eligible.
-        enters = cut & ~cut_before if self.boundary_only else 0
+        self.cost = tables.weight_of(nz[0] & nz[1])
 
         assignment = self.p.assignment
         gains = self.gains
-        locked = self.locked
-        in_struct = self.in_struct
+        state = self.state
         buckets = self.buckets
         heaps = self.heaps
-        masks = tables.masks
         vertex_planes = tables.vertex_planes
         ge2 = self.ge2
         heappush = heapq.heappush
         # The loop inlines _gain: a call per neighbour made the pass about
         # a quarter slower.
         for u in tables.neighbours[v]:
-            if locked[u]:
+            st = state[u]
+            if st is None:
                 continue
             s = assignment[u]
             other = nz[1 - s]
@@ -187,7 +182,7 @@ class _DenseFmState(_FmState):
             for b, m in vertex_planes[u]:
                 ng += ((other & m).bit_count() - (own & m).bit_count()) << b
             g = gains[u]
-            if in_struct[u]:
+            if st:
                 if ng == g:
                     continue
                 side = buckets[s]
@@ -195,12 +190,12 @@ class _DenseFmState(_FmState):
                 bucket.remove(u)
                 if not bucket:
                     del side[g]
-            elif enters & masks[u]:
-                in_struct[u] = True
-                side = buckets[s]
             else:
-                gains[u] = ng
-                continue
+                # Unlocked pins of cut hyperedges are in the buckets, so
+                # the hyperedge u shares with v was uncut, and the move
+                # has just cut it.
+                state[u] = True
+                side = buckets[s]
             gains[u] = ng
             bucket = side.get(ng)
             if bucket is None:

@@ -37,6 +37,14 @@ lowest id of its top bucket, and only in between are buckets walked
 downward, with admissibility memoised per weight. The argument needs a
 nonempty window, which :func:`fm_pass` checks.
 
+Each vertex is in one of three states: in a gain bucket, unlocked but
+outside the buckets (a ``bfm`` vertex that touches no cut hyperedge
+yet), or locked. The invariant is that every unlocked pin of a cut
+hyperedge is in a bucket. It holds when a pass starts, and a move that
+cuts a hyperedge puts that hyperedge's unlocked pins into the buckets,
+so an unlocked vertex outside the buckets whose gain changes is always
+a pin of a hyperedge the move has just cut, and enters the buckets.
+
 Gains are updated after a move in one of two ways, which give the same
 gains and therefore the same moves. :class:`_FmState` walks the pins of
 the moved vertex's critical hyperedges. On a level with dense tables
@@ -62,11 +70,15 @@ EARLY_EXIT_WINDOW = 50
 
 
 def project(p_coarse: Partition, link: LevelLink) -> Partition:
-    """Map a coarse partition back to the fine hypergraph of a level."""
+    """Map a coarse partition back to the fine hypergraph of a level.
+
+    Contraction sums the weights of merged vertices, so the part weights
+    carry over unchanged.
+    """
     if len(p_coarse.assignment) != link.coarse.num_vertices:
         raise ValueError("partition does not match the coarse hypergraph of this link")
     assignment = [p_coarse.assignment[c] for c in link.coarse_id]
-    return Partition.from_assignment(link.fine, p_coarse.k, assignment)
+    return Partition(p_coarse.k, assignment, p_coarse.part_weight)
 
 
 def _recount(h: Hypergraph, assignment: List[int]) -> Tuple[List[int], List[int], int]:
@@ -98,10 +110,13 @@ class FmAuditError(RuntimeError):
 
 
 class _FmState:
-    """Bookkeeping for one FM pass: pin counts, gains, buckets, locks.
+    """Bookkeeping for one FM pass: pin counts, gains, buckets and
+    vertex states.
 
-    ``buckets[a]`` maps a gain to the set of unlocked eligible vertices of
-    part ``a`` with that gain; ``heaps[a]`` is a max-heap (negated) of the
+    ``state[v]`` is True while ``v`` is in a gain bucket, False while it
+    is unlocked but outside the buckets, and None once it is locked.
+    ``buckets[a]`` maps a gain to the set of bucketed vertices of part
+    ``a`` with that gain; ``heaps[a]`` is a max-heap (negated) of the
     gains of side ``a``. Heap entries are deleted lazily: an entry whose
     bucket is gone is popped when it reaches the top, and a gain may sit
     in the heap more than once.
@@ -116,13 +131,11 @@ class _FmState:
         assignment = p.assignment
         n = h.num_vertices
 
-        self.gains, self.cost, self.in_struct = self._count()
-        self.locked = [False] * n
+        self.gains, self.cost, self.state = self._count()
         gains = self.gains
-        in_struct = self.in_struct
         buckets: List[Dict[int, Set[int]]] = [{}, {}]
-        for v in range(n):
-            if in_struct[v]:
+        for v, in_bucket in enumerate(self.state):
+            if in_bucket:
                 buckets[assignment[v]].setdefault(gains[v], set()).add(v)
         self.buckets = buckets
         self.heaps = [[-g for g in side] for side in buckets]
@@ -140,9 +153,9 @@ class _FmState:
         self.lo_soft = min(window.lower, window.target - self.wmax)
         self.hi_soft = max(window.upper, window.target + self.wmax)
 
-    def _count(self) -> Tuple[List[int], int, List[bool]]:
-        """Gains, cut cost and the initial eligibility flags, from
-        scratch; keeps the part-0 pin counts."""
+    def _count(self) -> Tuple[List[int], int, List[Optional[bool]]]:
+        """Gains, cut cost and the initial vertex states, from scratch;
+        keeps the part-0 pin counts."""
         h = self.h
         self.count0, gains, cost = _recount(h, self.p.assignment)
         if not self.boundary_only:
@@ -224,15 +237,14 @@ class _FmState:
         b = 1 - a
         # Unhook v first: it leaves side a, and a locked vertex takes no
         # gain updates.
-        if self.in_struct[v]:
-            self.in_struct[v] = False
+        if self.state[v]:
             side = self.buckets[a]
             gain = self.gains[v]
             bucket = side[gain]
             bucket.remove(v)
             if not bucket:
                 del side[gain]
-        self.locked[v] = True
+        self.state[v] = None
         self._update_gains(v, a)
         weight = self.h.vertex_weight[v]
         p.assignment[v] = b
@@ -243,14 +255,13 @@ class _FmState:
         self.part_size[b] += 1
 
     def _update_gains(self, v: int, a: int) -> None:
-        """Update pin counts, cost, gains, buckets and eligibility for the
-        move of the locked vertex ``v`` off side ``a``, walking the pins of
-        the critical hyperedges of ``v``."""
+        """Update pin counts, cost, gains, buckets and vertex states for
+        the move of the locked vertex ``v`` off side ``a``, walking the
+        pins of the critical hyperedges of ``v``."""
         h = self.h
         assignment = self.p.assignment
         gains = self.gains
-        locked = self.locked
-        in_struct = self.in_struct
+        state = self.state
         buckets = self.buckets
         heaps = self.heaps
         count0 = self.count0
@@ -278,21 +289,21 @@ class _FmState:
             if c_to == 0:
                 if c_from == 1:
                     continue
-                # e enters the cut, so its pins become eligible.
+                # e enters the cut: every unlocked pin of it sits on side
+                # a and takes a nonzero delta, so it enters the buckets.
                 cost += w
-                enters = True
                 delta_a = 2 * w if c_from == 2 else w
                 delta_b = 0
             else:
                 if c_from == 1:
                     cost -= w
-                enters = False
                 delta_a = w if c_from == 2 else 0
                 delta_b = -w * ((c_from == 1) + (c_to == 1))
                 if not delta_a and not delta_b:
                     continue
             for u in pins:
-                if locked[u]:
+                st = state[u]
+                if st is None:
                     continue
                 s = assignment[u]
                 delta = delta_a if s == a else delta_b
@@ -301,17 +312,16 @@ class _FmState:
                 g = gains[u]
                 ng = g + delta
                 gains[u] = ng
-                if in_struct[u]:
-                    side = buckets[s]
+                side = buckets[s]
+                if st:
                     bucket = side[g]
                     bucket.remove(u)
                     if not bucket:
                         del side[g]
-                elif enters:
-                    in_struct[u] = True
-                    side = buckets[s]
                 else:
-                    continue
+                    # Unlocked pins of cut nets are in the buckets, so
+                    # e is the net entering the cut.
+                    state[u] = True
                 bucket = side.get(ng)
                 if bucket is None:
                     side[ng] = {u}
@@ -333,9 +343,10 @@ class _FmState:
             raise FmAuditError(f"incremental cost drift: {self.cost} != {cost}")
         if self.violation != self.window.violation(self.p.part_weight[0]):
             raise FmAuditError("stale balance violation")
+        state = self.state
         # Gains of locked vertices are not maintained; check the rest.
         for u in range(h.num_vertices):
-            if not self.locked[u] and self.gains[u] != fresh[u]:
+            if state[u] is not None and self.gains[u] != fresh[u]:
                 raise FmAuditError(f"incremental gain drift at vertex {u}")
         seen = set()
         for s in (0, 1):
@@ -346,19 +357,21 @@ class _FmState:
                 if gain not in in_heap:
                     raise FmAuditError(f"gain {gain} of side {s} missing from its heap")
                 for u in bucket:
-                    if (u in seen or self.locked[u] or not self.in_struct[u]
+                    if (u in seen or state[u] is not True
                             or assignment[u] != s or self.gains[u] != gain):
                         raise FmAuditError(f"vertex {u} sits in the wrong bucket")
                     seen.add(u)
-        if len(seen) != sum(self.in_struct):
-            raise FmAuditError("bucket membership disagrees with the eligibility flags")
+        if len(seen) != state.count(True):
+            raise FmAuditError("bucket membership disagrees with the vertex states")
+        # The invariant: every unlocked pin of a cut net (in fm-ee, every
+        # unlocked vertex) is in a bucket.
         if self.boundary_only:
             eligible = {u for e, pins in enumerate(h.pins_by_hyperedge)
                         if 0 < count0[e] < len(pins) for u in pins}
         else:
             eligible = range(h.num_vertices)
         for u in eligible:
-            if not self.locked[u] and u not in seen:
+            if state[u] is False:
                 raise FmAuditError(f"eligible vertex {u} is missing from the buckets")
 
 

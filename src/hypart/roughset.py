@@ -31,7 +31,6 @@ class EdgePartitioning(NamedTuple):
 
     cluster_of: List[int]
     clusters: List[List[int]]
-    cluster_size: List[int]
 
 
 class CoreDecomposition(NamedTuple):
@@ -149,8 +148,7 @@ def build_edge_partitions(h: Hypergraph, s: float) -> EdgePartitioning:
                     queue_push(e2)
         clusters.append(sorted(members))
 
-    cluster_size = [len(members) for members in clusters]
-    return EdgePartitioning(cluster_of, clusters, cluster_size)
+    return EdgePartitioning(cluster_of, clusters)
 
 
 def _lightest_partner(w_e: int, scale_den: float, s: float) -> int:
@@ -186,8 +184,8 @@ def extract_cores(h: Hypergraph, ep: EdgePartitioning, c: float,
         raise ValueError(f"clustering threshold must lie in [0, 1], got {c}")
     active = [True] * len(ep.clusters)
     if drop_unit_clusters:
-        for c_id, size in enumerate(ep.cluster_size):
-            if size < 2:
+        for c_id, members in enumerate(ep.clusters):
+            if len(members) < 2:
                 active[c_id] = False
 
     cluster_of = ep.cluster_of

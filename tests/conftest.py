@@ -1,10 +1,30 @@
 """Shared fixtures: reference hypergraphs and independent mini-oracles."""
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from hypart import BalanceWindow, Hypergraph
+
+WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def load_workloads():
+    """``perfbench/workloads.py`` as a module, without putting the
+    benchmark directory on ``sys.path``."""
+    name = "perfbench_workloads"
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.spec_from_file_location(name, WORKLOADS_PY)
+        module = importlib.util.module_from_spec(spec)
+        # Its dataclasses look their module up in sys.modules.
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module
+
 
 # A hand-checked 16-vertex / 16-hyperedge example used across the test
 # suite. Per-vertex normalised incidence values, the similarity clusters

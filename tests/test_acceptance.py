@@ -2,8 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per
 criterion lines. Criterion 6 generates a synthetic sparse matrix at the
-scale of a mid-sized public benchmark (tens of thousands of rows) and
-runs the full command line pipeline under a wall-clock budget.
+scale of a mid-sized public benchmark (tens of thousands of rows), with
+the ``band`` generator of ``perfbench/workloads.py``, and runs the full
+command line pipeline under a wall-clock budget.
 """
 
 import json
@@ -23,8 +24,8 @@ from hypart.cli import main as cli_main
 from hypart.model import InfeasibleBalanceError
 
 from conftest import (SAMPLE16_CLUSTERS, SAMPLE16_CORES, SAMPLE16_NON_CORE,
-                      SAMPLE16_PINS, SAMPLE16_SINGLETONS, make_sample16,
-                      random_hypergraph)
+                      SAMPLE16_PINS, SAMPLE16_SINGLETONS, load_workloads,
+                      make_sample16, random_hypergraph)
 from reference import brute_force_bipartition, info_value
 
 
@@ -268,7 +269,8 @@ class TestCriterion6DeskScaleSmoke:
     def test_smoke_run_under_budget(self, tmp_path):
         n = 24000
         path = tmp_path / "synthetic.mtx"
-        self._write_banded_matrix(path, n, seed=20260808)
+        workloads = load_workloads()
+        workloads.write_mtx(str(path), *workloads.band(20260808, n))
 
         out = tmp_path / "synthetic.part"
         stats_path = tmp_path / "synthetic.stats.json"
@@ -292,21 +294,3 @@ class TestCriterion6DeskScaleSmoke:
         assert len(lines) == n
         assert {int(x) for x in lines} == set(range(32))
         report(6, f"desk-scale smoke run in {elapsed:.1f}s")
-
-    @staticmethod
-    def _write_banded_matrix(path, n, seed, band=60):
-        rng = random.Random(seed)
-        entries = set()
-        for j in range(n):
-            degree = rng.choice((2, 3, 3, 4, 4, 5, 6, 8))
-            for _ in range(degree):
-                if rng.random() < 0.05:
-                    r = rng.randrange(n)
-                else:
-                    r = min(n - 1, max(0, j + rng.randint(-band, band)))
-                entries.add((r, j))
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("%%MatrixMarket matrix coordinate pattern general\n")
-            f.write(f"{n} {n} {len(entries)}\n")
-            for r, c in sorted(entries):
-                f.write(f"{r + 1} {c + 1}\n")

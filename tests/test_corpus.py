@@ -10,16 +10,13 @@ cases take about ten seconds together.
 """
 
 import hashlib
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
 from hypart.cli import main
 
-WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+from conftest import load_workloads
 
 # sha256 of the partition file and the cut of each workload at seed 1.
 GOLDEN = {
@@ -27,20 +24,6 @@ GOLDEN = {
     "rect-k2-r3": ("210a3776675d60aa68d304a11ef2284185f56673c69e425b87e79173a53cd1f7", 2813),
     "hub-k4-size": ("6f509e38519f8c0ffefd244cfc5a65164dbad9f05c069d4aafc21d7d69b4487f", 13875),
 }
-
-
-def load_workloads():
-    """``perfbench/workloads.py`` as a module, without putting the
-    benchmark directory on ``sys.path``."""
-    name = "perfbench_workloads"
-    module = sys.modules.get(name)
-    if module is None:
-        spec = importlib.util.spec_from_file_location(name, WORKLOADS_PY)
-        module = importlib.util.module_from_spec(spec)
-        # Its dataclasses look their module up in sys.modules.
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-    return module
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

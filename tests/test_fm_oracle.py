@@ -401,8 +401,27 @@ class TestAudit:
         state.buckets[0][gain].discard(2)
         if not state.buckets[0][gain]:
             del state.buckets[0][gain]
-        state.in_struct[2] = False
-        with pytest.raises(FmAuditError):
+        state.state[2] = False
+        with pytest.raises(FmAuditError, match="missing from the buckets"):
+            state.audit()
+
+    def test_detects_missing_eligible_vertex_dense(self, monkeypatch):
+        # A bfm state: only the pins of cut hyperedges start in the
+        # buckets, and vertex 2 is a pin of the cut hyperedge [2, 3].
+        monkeypatch.setattr(model, "is_dense", lambda h: True)
+        h = Hypergraph(6, [[0, 1, 2], [2, 3], [3, 4, 5], [0, 5]],
+                       vertex_weight=[1, 2, 1, 3, 1, 2], hyperedge_weight=[1, 3, 2, 1])
+        p = Partition.from_assignment(h, 2, [0, 0, 0, 1, 1, 1])
+        state = _DenseFmState(h, p, BalanceWindow.symmetric(h.total_vertex_weight, 0.2),
+                              boundary_only=True)
+        state.audit()
+        assert state.state == [True, False, True, True, False, True]
+        gain = state.gains[2]
+        state.buckets[0][gain].discard(2)
+        if not state.buckets[0][gain]:
+            del state.buckets[0][gain]
+        state.state[2] = False
+        with pytest.raises(FmAuditError, match="missing from the buckets"):
             state.audit()
 
     def test_detects_stale_violation(self):
