@@ -5,8 +5,9 @@ clustering, core extraction, matching, contraction) until it is small
 enough, partitions the coarsest level with a set of candidate
 generators, then walks back up projecting and refining. k-way
 partitioning splits k into ceil(k/2) and floor(k/2), bisects with target
-weights in that ratio and recurses on the two vertex-induced
-sub-hypergraphs. Balance bounds at every recursion node are anchored to
+weights in that ratio and recurses on the vertex-induced sub-hypergraph
+of each side that splits again; a side of one part keeps the id its
+bisection wrote. Balance bounds at every recursion node are anchored to
 the global average part weight, so the leaf parts satisfy the balance
 constraint directly.
 
@@ -263,11 +264,12 @@ def _partition_run(shared: _InputLevel, cfg: PartitionConfig) -> Tuple[Partition
             f"total weight {h.total_vertex_weight} cannot split into {cfg.k} "
             f"parts within tolerance {cfg.epsilon}")
 
+    # Invariant: every vertex of a node already holds the node's ``base``
+    # in ``assignment`` (at the root, the initial 0). A bisection adds k1
+    # to its side-1 vertices, which then hold ``base + k1``, so a side
+    # whose quota is one part is final and only a side that splits again
+    # is induced, side 0's subtree first.
     def recurse(sub: Hypergraph, back: List[int], k_node: int, base: int) -> None:
-        if k_node == 1:
-            for v in back:
-                assignment[v] = base
-            return
         k1 = (k_node + 1) // 2
         k2 = k_node // 2
         w_node = sub.total_vertex_weight
@@ -280,13 +282,14 @@ def _partition_run(shared: _InputLevel, cfg: PartitionConfig) -> Tuple[Partition
         window = BalanceWindow(float(lower), float(upper), target)
         p, info = _bipartition_window(sub, rng, window, timer, shared)
         bisections.append(info)
-        with timer.phase("recursion"):
-            sub0, back0 = induce_subhypergraph(sub, p, 0)
-            sub1, back1 = induce_subhypergraph(sub, p, 1)
-            back0 = [back[v] for v in back0]
-            back1 = [back[v] for v in back1]
-        recurse(sub0, back0, k1, base)
-        recurse(sub1, back1, k2, base + k1)
+        for v, side in zip(back, p.assignment):
+            assignment[v] += k1 * side
+        for side, k_side, base_side in ((0, k1, base), (1, k2, base + k1)):
+            if k_side > 1:
+                with timer.phase("recursion"):
+                    sub_side, back_side = induce_subhypergraph(sub, p, side)
+                    back_side = [back[v] for v in back_side]
+                recurse(sub_side, back_side, k_side, base_side)
 
     recurse(h, list(range(h.num_vertices)), cfg.k, 0)
     p = Partition.from_assignment(h, cfg.k, assignment)

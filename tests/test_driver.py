@@ -12,6 +12,7 @@ from hypart.driver import _part_interval, std_dev_percent
 
 from conftest import make_path4, naive_cost, random_hypergraph
 from reference import brute_force_bipartition
+from test_golden import banded_hypergraph
 
 
 def grid_hypergraph(rows, cols):
@@ -259,6 +260,27 @@ class TestInduceSubhypergraph:
             sub1, _ = induce_subhypergraph(h, p, 1)
             assert (sub0.total_vertex_weight + sub1.total_vertex_weight
                     == h.total_vertex_weight)
+
+    @pytest.mark.parametrize("k,inductions", [(2, 0), (3, 1), (4, 2), (8, 6)])
+    def test_only_sides_that_split_again_are_induced(self, monkeypatch, k, inductions):
+        # A side whose quota is one part keeps the id its bisection wrote,
+        # so k = 2 induces nothing and k = 8 induces only the root's two
+        # halves and their four quarters.
+        import hypart.driver as drv
+        calls = []
+        original = drv.induce_subhypergraph
+
+        def counting_induce(h, p, part):
+            calls.append(part)
+            return original(h, p, part)
+
+        monkeypatch.setattr(drv, "induce_subhypergraph", counting_induce)
+        h = banded_hypergraph(seed=13, rows=400, band=20, max_pins=5, size_weights=False)
+        p, stats = partition_kway(h, PartitionConfig(k=k, epsilon=0.03, seed=1))
+        assert len(calls) == inductions
+        assert sorted(set(p.assignment)) == list(range(k))
+        if k == 2:
+            assert stats.phases["recursion"] == 0.0
 
 
 class TestRunMany:
