@@ -84,11 +84,10 @@ def _best_mate(h: Hypergraph, u: int, free: set,
     wu = incident_weight[u]
     best = None
     best_j = -1.0
-    for x in sorted(shared):
-        sw = shared[x]
+    for x, sw in shared.items():
         union = wu + incident_weight[x] - sw
         j = sw / union if union > 0 else 0.0
-        if j > best_j:
+        if j > best_j or (j == best_j and x < best):
             best_j = j
             best = x
     return best

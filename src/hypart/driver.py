@@ -87,24 +87,26 @@ class PhaseTimer:
 class _InputLevel:
     """Seed-independent work on the input hypergraph of a set of runs.
 
-    Validation and the first coarsening level's threshold state and
-    cores depend only on the input, so the runs of :func:`run_many`
-    share them: the first run that needs one computes it, inside its own
-    phase timers, and later runs reuse it.
+    Validation and the first coarsening level's threshold state, cores
+    and cluster count depend only on the input, so the runs of
+    :func:`run_many` share them: the first run that needs one computes
+    it, inside its own phase timers, and later runs reuse it.
     """
 
     def __init__(self, h: Hypergraph):
         self.h = h
         self.validated = False
-        self.first_level: Optional[Tuple[ThresholdState, CoreDecomposition]] = None
+        self.first_level: Optional[Tuple[ThresholdState, CoreDecomposition, int]] = None
 
 
 def _cluster_level(h: Hypergraph, ts: Optional[ThresholdState],
-                   timer: PhaseTimer) -> Tuple[ThresholdState, CoreDecomposition]:
+                   timer: PhaseTimer) -> Tuple[ThresholdState, CoreDecomposition, int]:
     """Threshold state (seeded from the clustering coefficient when ``ts``
-    is None), hyperedge clusters and vertex cores of one coarsening level.
+    is None), vertex cores and the number of hyperedge clusters with two
+    or more hyperedges of one coarsening level.
 
-    Cores use clustering threshold 0 with unit clusters dropped.
+    Cores use clustering threshold 0 with unit clusters dropped, so only
+    the counted clusters give signature bits.
     """
     with timer.phase("hcg"):
         if ts is None:
@@ -112,7 +114,8 @@ def _cluster_level(h: Hypergraph, ts: Optional[ThresholdState],
         ep = build_edge_partitions(h, ts.s)
     with timer.phase("matching"):
         cores = extract_cores(h, ep, 0.0, drop_unit_clusters=True)
-    return ts, cores
+        multi = len(ep.clusters) - list(map(len, ep.clusters)).count(1)
+    return ts, cores, multi
 
 
 def _bipartition_window(h: Hypergraph, rng: random.Random, window: BalanceWindow,
@@ -127,6 +130,7 @@ def _bipartition_window(h: Hypergraph, rng: random.Random, window: BalanceWindow
     levels: List[LevelLink] = []
     ratios: List[float] = []
     thresholds: List[float] = []
+    multi_clusters: List[int] = []
     current = h
     ts: Optional[ThresholdState] = None
 
@@ -134,9 +138,9 @@ def _bipartition_window(h: Hypergraph, rng: random.Random, window: BalanceWindow
         if current is shared.h:
             if shared.first_level is None:
                 shared.first_level = _cluster_level(current, ts, timer)
-            ts, cores = shared.first_level
+            ts, cores, multi = shared.first_level
         else:
-            ts, cores = _cluster_level(current, ts, timer)
+            ts, cores, multi = _cluster_level(current, ts, timer)
         with timer.phase("matching"):
             matching, leftovers = match_in_cores(current, cores, rng)
             matching = match_noncore(current, matching, leftovers, rng)
@@ -148,6 +152,7 @@ def _bipartition_window(h: Hypergraph, rng: random.Random, window: BalanceWindow
         levels.append(link)
         ratios.append(ratio)
         thresholds.append(ts.s)
+        multi_clusters.append(multi)
         current = link.coarse
         if ratio < STAGNATION_RATIO:
             break
@@ -181,6 +186,7 @@ def _bipartition_window(h: Hypergraph, rng: random.Random, window: BalanceWindow
     dense_levels = (dense_tables(current) is not None) + sum(
         dense_tables(link.fine) is not None for link in levels)
     info = {"levels": len(levels), "r": ratios, "s": thresholds,
+            "clusters": multi_clusters,
             "cost": partition_cost(h, p),
             "coarsest": {"vertices": current.num_vertices,
                          "hyperedges": current.num_hyperedges,

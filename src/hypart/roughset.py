@@ -74,18 +74,32 @@ def build_edge_partitions(h: Hypergraph, s: float) -> EdgePartitioning:
     sorted heaviest first, once per call, and every incidence walk from
     ``e`` stops at the first partner lighter than that bound. Clusters
     are still verified by the full ``sim >= s`` expression.
+
+    Equal-weight levels on which every two hyperedges that share two
+    pins reach ``s``, but the largest and the smallest hyperedge sharing
+    one pin do not, are clustered by :func:`_pair_clusters` instead.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"similarity threshold must lie in (0, 1), got {s}")
     m = h.num_hyperedges
-    cluster_of = [-1] * m
-    clusters: List[List[int]] = []
-    max_w = h.max_hyperedge_weight()
-    scale_den = 2.0 * max_w
     weights = h.hyperedge_weight
     by_edge = h.pins_by_hyperedge
+    max_w = h.max_hyperedge_weight()
+    min_w = min(weights, default=max_w)
+    if m and min_w == max_w:
+        sizes = list(map(len, by_edge))
+        smin, smax = min(sizes), max(sizes)
+        # Two shared pins always reach s; one shared pin does not for the
+        # largest and the smallest hyperedge. Where it does, the level
+        # forms a giant cluster, which the walk's open-edge skip makes far
+        # cheaper than pairs.
+        if smax >= 2 and 2 / (2 * smax - 2) >= s > 1 / (smax + smin - 1):
+            return _pair_clusters(h, sizes, _longest_join(s))
+    cluster_of = [-1] * m
+    clusters: List[List[int]] = []
+    scale_den = 2.0 * max_w
     # Whether some pair fails on its weight factor alone.
-    pruned = 2 * min(weights, default=max_w) / scale_den < s
+    pruned = 2 * min_w / scale_den < s
     if pruned:
         heaviest_first = weights.__getitem__
         by_vertex = [sorted(incident, key=heaviest_first, reverse=True)
@@ -148,6 +162,105 @@ def build_edge_partitions(h: Hypergraph, s: float) -> EdgePartitioning:
                     queue_push(e2)
         clusters.append(sorted(members))
 
+    return EdgePartitioning(cluster_of, clusters)
+
+
+def _longest_join(s: float) -> int:
+    """Largest union size ``k`` with ``fl(1 / k) >= s``.
+
+    On an equal-weight level the weight factor is exactly 1.0, so two
+    hyperedges sharing ``i`` of ``k`` distinct pins have similarity
+    ``fl(i / k)``. The quotient falls as ``k`` grows and rounding is
+    monotone, so one shared pin reaches ``s`` exactly when the union
+    has at most this many pins.
+    """
+    k = int(1 / s)
+    while 1 / (k + 1) >= s:
+        k += 1
+    while 1 / k < s:
+        k -= 1
+    return k
+
+
+def _pair_clusters(h: Hypergraph, sizes: List[int], longest: int) -> EdgePartitioning:
+    """Clusters of an equal-weight level by union-find over shared pins.
+
+    The caller has checked that every two hyperedges sharing two or
+    more pins reach ``s``: with ``i >= 2`` shared pins the similarity is
+    at least ``fl(2 / (a + b - 2)) >= fl(2 / (2 * smax - 2))``. So two
+    hyperedges are adjacent in the similarity graph exactly when they
+    share a vertex pair, or share one pin and their sizes ``a`` and
+    ``b`` satisfy ``a + b - 1 <= longest`` (from :func:`_longest_join`).
+
+    Shared pairs: for each vertex ``u``, one dict maps every higher pin
+    ``v`` of ``u``'s hyperedges to the first hyperedge holding both, and
+    each later hyperedge holding both joins it. That visits the
+    ``C(|e|, 2)`` pin pairs of each hyperedge once, where the walk
+    visits ``sum(deg(v)**2)`` incidences, so it pays where vertex degree
+    far exceeds hyperedge size. Only one dict lives at a time; one dict
+    keyed by pin pairs for the whole level costs measurably more memory.
+
+    One shared pin ``v``: if two hyperedges of ``v`` join, each joins
+    the smallest hyperedge of ``v`` too, since that bound only loosens
+    as a size falls. So each vertex joins its smallest hyperedge to
+    every hyperedge of ``v`` within the bound, which keeps every
+    component and costs one visit per pin.
+
+    A union keeps the smaller root, so each root is its component's
+    smallest member and clusters are numbered by smallest member, as
+    the walk numbers them.
+    """
+    m = len(sizes)
+    parent = list(range(m))
+    by_edge = h.pins_by_hyperedge
+
+    def find(e: int) -> int:
+        while parent[e] != e:
+            parent[e] = parent[parent[e]]
+            e = parent[e]
+        return e
+
+    def union(a: int, b: int) -> None:
+        a = find(a)
+        b = find(b)
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+
+    for u, incident in enumerate(h.pins_by_vertex):
+        if len(incident) < 2:
+            continue
+        first: dict[int, int] = {}
+        for e in incident:
+            for v in by_edge[e]:
+                if v > u:
+                    f = first.setdefault(v, e)
+                    if f != e:
+                        union(e, f)
+
+    if 2 * min(sizes) - 1 <= longest:
+        size_of = sizes.__getitem__
+        for incident in h.pins_by_vertex:
+            if len(incident) < 2:
+                continue
+            smallest = min(incident, key=size_of)
+            limit = longest + 1 - sizes[smallest]
+            for e in incident:
+                if sizes[e] <= limit:
+                    union(smallest, e)
+
+    cluster_of = [0] * m
+    clusters: List[List[int]] = []
+    for e in range(m):
+        root = find(e)
+        if root == e:
+            cluster_of[e] = len(clusters)
+            clusters.append([e])
+        else:
+            c_id = cluster_of[root]
+            cluster_of[e] = c_id
+            clusters[c_id].append(e)
     return EdgePartitioning(cluster_of, clusters)
 
 

@@ -164,9 +164,10 @@ class TestCli:
         records = document["bisections"]
         assert len(records) == 3   # k=4 needs three bisections
         for record in records:
-            assert set(record) == {"levels", "r", "s", "cost", "coarsest", "dense_fm",
-                                   "fallback"}
-            assert len(record["r"]) == len(record["s"]) == record["levels"]
+            assert set(record) == {"levels", "r", "s", "clusters", "cost", "coarsest",
+                                   "dense_fm", "fallback"}
+            assert len(record["r"]) == len(record["s"]) == len(record["clusters"]) \
+                == record["levels"]
             assert set(record["coarsest"]) == {"vertices", "hyperedges", "pins"}
             assert 0 <= record["dense_fm"] <= record["levels"] + 1
             assert record["fallback"] in (True, False)

@@ -195,6 +195,27 @@ class TestPartitionKway:
         assert record["levels"] > 0 and record["dense_fm"] == 0
         assert record["coarsest"]["vertices"] <= 100
 
+    def test_bisection_record_counts_multi_hyperedge_clusters(self, monkeypatch):
+        # One count per coarsening level: the clusters of two or more
+        # hyperedges, the ones that give signature bits.
+        import hypart.driver as drv
+
+        counts = []
+        original = drv.build_edge_partitions
+
+        def counting(h, s):
+            ep = original(h, s)
+            counts.append(sum(len(members) > 1 for members in ep.clusters))
+            return ep
+
+        monkeypatch.setattr(drv, "build_edge_partitions", counting)
+        rng = random.Random(7)
+        h = Hypergraph(300, [rng.sample(range(300), 5) for _ in range(1500)])
+        _, record = bipartition(h, PartitionConfig(epsilon=0.05, seed=2))
+        assert record["levels"] > 0
+        assert record["clusters"] == counts[:record["levels"]]
+        assert any(record["clusters"])
+
 
 def reference_quota_interval(k, avg_part, epsilon):
     """Integer weight interval of a quota of k parts, by its recursive

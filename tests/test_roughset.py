@@ -281,16 +281,46 @@ def heavy_tailed_hypergraph(rng):
     return Hypergraph(h.num_vertices, h.pins_by_hyperedge, hyperedge_weight=weights)
 
 
-def count_pruned_walks(monkeypatch):
-    """Count calls of the weight bound, which only the pruned walk makes."""
+def equal_weight_hypergraph(rng, smin, smax):
+    """Random hypergraph whose hyperedges all weigh the same (1 or 3),
+    with sizes in [smin, smax] (both taken), repeated pin sets and
+    isolated vertices."""
+    n = rng.randint(smax + 2, 24)
+    isolated = set(rng.sample(range(n), rng.randint(0, n // 4)))
+    live = [v for v in range(n) if v not in isolated]
+    pins = [sorted(rng.sample(live, size)) for size in (smin, smax)]
+    for _ in range(rng.randint(0, 38)):
+        if rng.random() < 0.15:
+            pins.append(list(rng.choice(pins)))
+            continue
+        pins.append(sorted(rng.sample(live, rng.randint(smin, smax))))
+    rng.shuffle(pins)
+    weight = rng.choice((1, 3))
+    return Hypergraph(n, pins, hyperedge_weight=[weight] * len(pins))
+
+
+def numbered_reference(h, s):
+    """``reference_clusters`` as the walk numbers them: by smallest member."""
+    clusters = sorted(sorted(c) for c in reference_clusters(h, s))
+    cluster_of = [0] * h.num_hyperedges
+    for c_id, members in enumerate(clusters):
+        for e in members:
+            cluster_of[e] = c_id
+    return cluster_of, clusters
+
+
+def count_calls(monkeypatch, name):
+    """Record the arguments of each call of ``roughset.<name>``: the weight
+    bound ``_lightest_partner``, which only the pruned walk calls, or the
+    equal-weight path ``_pair_clusters``."""
     calls = []
-    bound = roughset._lightest_partner
+    original = getattr(roughset, name)
 
     def counted(*args):
         calls.append(args)
-        return bound(*args)
+        return original(*args)
 
-    monkeypatch.setattr(roughset, "_lightest_partner", counted)
+    monkeypatch.setattr(roughset, name, counted)
     return calls
 
 
@@ -315,7 +345,7 @@ class TestClusteringOracle:
     def test_heavy_tailed_weights(self, monkeypatch, s):
         # Light pairs fail on their weight factor alone, so the walk
         # stops early; the clusters must not change.
-        calls = count_pruned_walks(monkeypatch)
+        calls = count_calls(monkeypatch, "_lightest_partner")
         rng = random.Random(83)
         pruned = 0
         for trial in range(150):
@@ -334,7 +364,7 @@ class TestClusteringOracle:
         # their similarity is s, so they must share a cluster, whichever
         # of them is expanded first. No other hyperedge touches them.
         assert (light + heavy) / (2.0 * outlier) == s
-        calls = count_pruned_walks(monkeypatch)
+        calls = count_calls(monkeypatch, "_lightest_partner")
         for weights in ([light, heavy, outlier, 1], [heavy, light, outlier, 1]):
             h = Hypergraph(7, [[0, 1, 2], [0, 1, 2], [3, 4, 5], [5, 6]],
                            hyperedge_weight=weights)
@@ -343,6 +373,46 @@ class TestClusteringOracle:
             assert calls
             assert ep.cluster_of[0] == ep.cluster_of[1]
             assert {frozenset(c) for c in ep.clusters} == reference_clusters(h, s)
+
+    @pytest.mark.parametrize("s, smin, smax", [
+        # fl(2 / (2 * 6 - 2)) = s: two shared pins of the largest sizes
+        # reach s exactly; so does one pin of sizes 3 and 3, 2 and 4,
+        # 1 and 5.
+        (0.2, 1, 6),
+        # fl(2 / (2 * 5 - 2)) = s with every size 5; one pin never joins.
+        (0.25, 5, 5),
+        # fl(1 / (3 + 3 - 1)) = s: one pin joins sizes 3 and 3 only.
+        (0.2, 3, 4),
+        (1 / 3, 2, 4),
+    ])
+    def test_equal_weights_pair_path(self, monkeypatch, s, smin, smax):
+        # Equal weights make the weight factor exactly 1.0, so these
+        # levels are clustered by union-find over shared pins; clusters
+        # and their numbering must be the walk's.
+        calls = count_calls(monkeypatch, "_pair_clusters")
+        rng = random.Random(89)
+        for trial in range(150):
+            h = equal_weight_hypergraph(rng, smin, smax)
+            ep = build_edge_partitions(h, s)
+            cluster_of, clusters = numbered_reference(h, s)
+            assert ep.clusters == clusters, f"trial {trial}"
+            assert ep.cluster_of == cluster_of, f"trial {trial}"
+        assert len(calls) == 150
+
+    def test_equal_weights_off_the_pair_path(self, monkeypatch):
+        # Two pins of the largest hyperedges fall short of s, or one pin
+        # of the largest and the smallest already reaches it (down to the
+        # smallest s, whose inverse overflows): the walk clusters these
+        # levels.
+        calls = count_calls(monkeypatch, "_pair_clusters")
+        rng = random.Random(97)
+        for s, smin, smax in ((0.25, 1, 6), (0.2, 3, 3), (0.5, 1, 1), (5e-324, 1, 6)):
+            for trial in range(50):
+                h = equal_weight_hypergraph(rng, smin, smax)
+                ep = build_edge_partitions(h, s)
+                assert (ep.cluster_of, ep.clusters) == numbered_reference(h, s), \
+                    f"s={s} trial {trial}"
+        assert calls == []
 
     @pytest.mark.parametrize("generator", [dense_row_hypergraph, half_empty_hypergraph],
                              ids=["dense-row", "half-empty"])
