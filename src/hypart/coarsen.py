@@ -94,14 +94,16 @@ def _best_mate(h: Hypergraph, u: int, free: set,
 
 
 def match_in_cores(h: Hypergraph, cores: CoreDecomposition,
-                   rng: random.Random) -> Tuple[Matching, List[int]]:
+                   rng: random.Random) -> Tuple[List[Optional[int]], List[int]]:
     """Pair vertices inside each core by maximum weighted Jaccard.
 
     Per core: pick a random unmatched vertex, mate it with the most
     similar unmatched vertex of the same core (the lowest-id one when
-    none shares a hyperedge with it), repeat. Core members that
-    stay unmatched, singleton-core vertices and non-core vertices form
-    the leftover pool handed to :func:`match_noncore`.
+    none shares a hyperedge with it), repeat. Returns the mate list
+    (``mate[v]`` is the partner of ``v`` or None) and the sorted
+    leftover pool: core members that stay unmatched, singleton-core
+    vertices and non-core vertices. Both go to :func:`match_noncore`,
+    which builds the level's :class:`Matching`.
     """
     mate: List[Optional[int]] = [None] * h.num_vertices
     incident_weight = h.vertex_incident_weights()
@@ -122,21 +124,21 @@ def match_in_cores(h: Hypergraph, cores: CoreDecomposition,
         leftovers.extend(unmatched)
     leftovers.extend(cores.singleton_cores)
     leftovers.extend(cores.non_core)
-    return Matching(mate), sorted(leftovers)
+    return mate, sorted(leftovers)
 
 
-def match_noncore(h: Hypergraph, m: Matching, pool: Sequence[int],
+def match_noncore(h: Hypergraph, mate: List[Optional[int]], pool: Sequence[int],
                   rng: random.Random) -> Matching:
-    """Augment a matching over the leftover pool until compression suffices.
+    """Augment the mate list over the leftover pool until compression
+    suffices, and return the level's :class:`Matching`.
 
     Pool vertices are visited in random order; each unmatched one is
     paired with its most similar unmatched neighbour (a vertex sharing
     at least one hyperedge). Matching stops early once the projected
     compression ratio reaches ``MIN_COMPRESSION``; pair matching caps
-    the ratio at 2 regardless.
+    the ratio at 2 regardless. ``mate`` is augmented in place.
     """
     n = h.num_vertices
-    mate = list(m.mate)
     pairs = sum(1 for x in mate if x is not None) // 2
 
     def ratio_reached() -> bool:

@@ -27,8 +27,8 @@ from .coarsen import (LevelLink, contract, initial_threshold, match_in_cores,
                       match_noncore, update_threshold, ThresholdState)
 from .initpart import INIT_METHODS, generate_candidate, select_best
 from .model import (BalanceWindow, Hypergraph, InfeasibleBalanceError,
-                    Partition, dense_tables, derive_hypergraph, max_imbalance,
-                    partition_cost, validate)
+                    Partition, cached, dense_tables, derive_hypergraph,
+                    max_imbalance, partition_cost, validate)
 from .refine import refine_bipartition, project
 from .roughset import CoreDecomposition, build_edge_partitions, extract_cores
 
@@ -84,21 +84,6 @@ class PhaseTimer:
             self.times[name] += time.perf_counter() - start
 
 
-class _InputLevel:
-    """Seed-independent work on the input hypergraph of a set of runs.
-
-    Validation and the first coarsening level's threshold state, cores
-    and cluster count depend only on the input, so the runs of
-    :func:`run_many` share them: the first run that needs one computes
-    it, inside its own phase timers, and later runs reuse it.
-    """
-
-    def __init__(self, h: Hypergraph):
-        self.h = h
-        self.validated = False
-        self.first_level: Optional[Tuple[ThresholdState, CoreDecomposition, int]] = None
-
-
 def _cluster_level(h: Hypergraph, ts: Optional[ThresholdState],
                    timer: PhaseTimer) -> Tuple[ThresholdState, CoreDecomposition, int]:
     """Threshold state (seeded from the clustering coefficient when ``ts``
@@ -119,11 +104,12 @@ def _cluster_level(h: Hypergraph, ts: Optional[ThresholdState],
 
 
 def _bipartition_window(h: Hypergraph, rng: random.Random, window: BalanceWindow,
-                        timer: PhaseTimer, shared: _InputLevel) -> Tuple[Partition, dict]:
+                        timer: PhaseTimer) -> Tuple[Partition, dict]:
     """One full V-cycle on ``h`` targeting the given balance window.
 
-    When ``h`` is the input hypergraph of ``shared``, its first level's
-    threshold state and cores come from there. Raises
+    The opening level (threshold seed, cores and cluster count of ``h``)
+    depends only on ``h``, so it is kept on ``h`` and computed once,
+    inside the timers of the first V-cycle that needs it. Raises
     :class:`InfeasibleBalanceError` when the refined partition of ``h``
     ends outside the window.
     """
@@ -135,15 +121,14 @@ def _bipartition_window(h: Hypergraph, rng: random.Random, window: BalanceWindow
     ts: Optional[ThresholdState] = None
 
     while current.num_vertices > COARSEST_SIZE and current.num_hyperedges > 0:
-        if current is shared.h:
-            if shared.first_level is None:
-                shared.first_level = _cluster_level(current, ts, timer)
-            ts, cores, multi = shared.first_level
+        if ts is None:
+            ts, cores, multi = cached(current, "opening_level",
+                                      lambda: _cluster_level(current, None, timer))
         else:
             ts, cores, multi = _cluster_level(current, ts, timer)
         with timer.phase("matching"):
-            matching, leftovers = match_in_cores(current, cores, rng)
-            matching = match_noncore(current, matching, leftovers, rng)
+            mate, leftovers = match_in_cores(current, cores, rng)
+            matching = match_noncore(current, mate, leftovers, rng)
         if matching.num_coarse == current.num_vertices:
             break
         with timer.phase("coarsening"):
@@ -241,24 +226,28 @@ def induce_subhypergraph(h: Hypergraph, p: Partition, part: int) -> Tuple[Hyperg
 
 
 def partition_kway(h: Hypergraph, cfg: PartitionConfig) -> Tuple[Partition, RunStats]:
-    """Partition ``h`` into ``cfg.k`` parts by recursive bisection."""
+    """Partition ``h`` into ``cfg.k`` parts by recursive bisection.
+
+    The work that depends only on ``h`` is kept on ``h``: its validation
+    report and the threshold seed, cores and cluster count of its first
+    coarsening level. Repeated calls on the same object, and the runs of
+    :func:`run_many`, do it once, inside the phase timers of the first
+    call that needs it.
+    """
     cfg.validate()
-    return _partition_run(_InputLevel(h), cfg)
+    return _partition_run(h, cfg)
 
 
-def _partition_run(shared: _InputLevel, cfg: PartitionConfig) -> Tuple[Partition, RunStats]:
-    """One seeded run of :func:`partition_kway` on the input of ``shared``."""
-    h = shared.h
+def _partition_run(h: Hypergraph, cfg: PartitionConfig) -> Tuple[Partition, RunStats]:
+    """One seeded run of :func:`partition_kway` on ``h``."""
     timer = PhaseTimer()
     start = time.perf_counter()
     with timer.phase("build"):
-        if not shared.validated:
-            problems = validate(h)
-            if problems:
-                raise ValueError("invalid hypergraph: " + "; ".join(problems[:5]))
-            if cfg.k > h.num_vertices:
-                raise ValueError(f"k={cfg.k} exceeds the number of vertices {h.num_vertices}")
-            shared.validated = True
+        problems = cached(h, "problems", lambda: validate(h))
+        if problems:
+            raise ValueError("invalid hypergraph: " + "; ".join(problems[:5]))
+        if cfg.k > h.num_vertices:
+            raise ValueError(f"k={cfg.k} exceeds the number of vertices {h.num_vertices}")
         avg_part = h.total_vertex_weight / cfg.k
         assignment = [0] * h.num_vertices
 
@@ -286,7 +275,7 @@ def _partition_run(shared: _InputLevel, cfg: PartitionConfig) -> Tuple[Partition
                 f"empty balance window for a {k1}:{k2} split of weight {w_node}")
         target = min(max(w_node * k1 / k_node, lower), upper)
         window = BalanceWindow(float(lower), float(upper), target)
-        p, info = _bipartition_window(sub, rng, window, timer, shared)
+        p, info = _bipartition_window(sub, rng, window, timer)
         bisections.append(info)
         for v, side in zip(back, p.assignment):
             assignment[v] += k1 * side
@@ -326,19 +315,17 @@ def run_many(h: Hypergraph, cfg: PartitionConfig) -> dict:
     """Run ``cfg.runs`` seeded repetitions and summarise them.
 
     Repetition i uses seed ``cfg.seed + i`` and returns what
-    :func:`partition_kway` returns for that seed. The input is validated
-    once, and the threshold state and cores of its first coarsening
-    level, which no seed affects, are computed once in the first run, so
-    the phase times of later runs exclude them. The summary carries the
+    :func:`partition_kway` returns for that seed. The runs share what no
+    seed affects, which is kept on ``h`` (see :func:`partition_kway`), so
+    the phase times of later runs exclude it. The summary carries the
     best run (lowest cost, earliest seed on ties), the mean cost and the
     population standard deviation as a percentage of the mean.
     """
     cfg.validate()
-    shared = _InputLevel(h)
     results: List[Tuple[Partition, RunStats]] = []
     for i in range(cfg.runs):
         run_cfg = cfg._replace(seed=cfg.seed + i, runs=1)
-        results.append(_partition_run(shared, run_cfg))
+        results.append(_partition_run(h, run_cfg))
     costs = [stats.cost for _, stats in results]
     best_index = min(range(len(results)), key=lambda i: (costs[i], i))
     best_partition, best_stats = results[best_index]

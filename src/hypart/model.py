@@ -16,7 +16,8 @@ count with ``int.bit_count`` instead of walking pins.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple, TypeVar)
 
 if TYPE_CHECKING:
     from .dense import DenseTables
@@ -26,8 +27,7 @@ class InfeasibleBalanceError(RuntimeError):
     """No partition can satisfy the requested balance constraint."""
 
 
-# Marks a hypergraph whose dense tables have not been looked at yet.
-_UNKNOWN = object()
+_T = TypeVar("_T")
 
 
 class Hypergraph:
@@ -36,7 +36,8 @@ class Hypergraph:
     Instances are treated as immutable after construction; every pass of
     the partitioner builds new (coarser or induced) hypergraphs instead
     of mutating existing ones, so sharing across threads for reads is
-    safe.
+    safe. Values that depend only on the hypergraph are computed on first
+    use and kept on it (:func:`cached`).
 
     The constructor normalises pin lists (sorts them, keeps duplicates)
     and builds the vertex-side incidence, but it does not reject
@@ -52,7 +53,7 @@ class Hypergraph:
         "pins_by_hyperedge",
         "pins_by_vertex",
         "total_vertex_weight",
-        "_dense",
+        "_cache",
     )
 
     def __init__(
@@ -96,7 +97,7 @@ class Hypergraph:
         self.vertex_weight = vertex_weight
         self.hyperedge_weight = hyperedge_weight
         self.total_vertex_weight = sum(vertex_weight)
-        self._dense = _UNKNOWN
+        self._cache: dict = {}
 
     def num_pins(self) -> int:
         return sum(len(p) for p in self.pins_by_hyperedge)
@@ -113,10 +114,14 @@ class Hypergraph:
         return max(self.vertex_weight, default=1)
 
     def vertex_incident_weights(self) -> List[int]:
-        """Sum of incident hyperedge weights, per vertex."""
+        """Sum of incident hyperedge weights, per vertex. Computed on first
+        use and kept on the hypergraph: every caller gets the same list,
+        which must not be modified."""
+        return cached(self, "incident_weights", self._incident_weights)
+
+    def _incident_weights(self) -> List[int]:
         out = [0] * self.num_vertices
-        for e, pins in enumerate(self.pins_by_hyperedge):
-            w = self.hyperedge_weight[e]
+        for pins, w in zip(self.pins_by_hyperedge, self.hyperedge_weight):
             for v in pins:
                 out[v] += w
         return out
@@ -124,6 +129,17 @@ class Hypergraph:
     def __repr__(self) -> str:  # pragma: no cover
         return (f"Hypergraph(V={self.num_vertices}, E={self.num_hyperedges}, "
                 f"pins={self.num_pins()})")
+
+
+def cached(h: Hypergraph, key: str, compute: Callable[[], _T]) -> _T:
+    """The value ``key`` of ``h``: ``compute()`` the first time it is
+    asked for, and the kept result from then on. A hypergraph is
+    immutable, so a value that depends only on it holds for its whole
+    lifetime and is shared by every caller."""
+    cache = h._cache
+    if key not in cache:
+        cache[key] = compute()
+    return cache[key]
 
 
 def derive_hypergraph(h: Hypergraph, vertex_map: Sequence[int],
@@ -188,17 +204,18 @@ def dense_tables(h: Hypergraph) -> Optional["DenseTables"]:
     """The :class:`~hypart.dense.DenseTables` of ``h``, or None when ``h``
     is not dense or has a hyperedge weight that is not a positive integer
     (or a repeated pin). Built on first use and kept on ``h``, so they
-    live exactly as long as ``h``. :mod:`hypart.dense` is imported only
+    live exactly as long as ``h``; every caller gets the same tables,
+    which must not be modified. :mod:`hypart.dense` is imported only
     then, which keeps it off the start-up path of inputs without a dense
     level."""
-    tables = h._dense
-    if tables is _UNKNOWN:
-        tables = None
-        if is_dense(h):
-            from .dense import build_tables
-            tables = build_tables(h)
-        h._dense = tables
-    return tables
+    return cached(h, "dense_tables", lambda: _build_dense_tables(h))
+
+
+def _build_dense_tables(h: Hypergraph) -> Optional["DenseTables"]:
+    if not is_dense(h):
+        return None
+    from .dense import build_tables
+    return build_tables(h)
 
 
 class Partition:

@@ -175,8 +175,8 @@ class TestCriterion4StructuralInvariants:
             c = rng.uniform(0.0, 1.0)
             ep = build_edge_partitions(h, s)
             cores = extract_cores(h, ep, c, drop_unit_clusters=rng.random() < 0.5)
-            m, leftovers = match_in_cores(h, cores, rng)
-            m = match_noncore(h, m, leftovers, rng)
+            mate, leftovers = match_in_cores(h, cores, rng)
+            m = match_noncore(h, mate, leftovers, rng)
 
             # Matching involution and coarse id consistency.
             for v, mv in enumerate(m.mate):

@@ -57,8 +57,8 @@ class TestMatchInCores:
                                           non_core=[0, 2])
         h = Hypergraph(4, [[1, 3], [0, 2]])
         for seed in range(5):
-            m, leftovers = match_in_cores(h, decomposition, random.Random(seed))
-            assert m.mate[1] == 3 and m.mate[3] == 1
+            mate, leftovers = match_in_cores(h, decomposition, random.Random(seed))
+            assert mate[1] == 3 and mate[3] == 1
             assert leftovers == [0, 2]
 
     def test_sample16_heavy_core(self, sample16):
@@ -69,9 +69,9 @@ class TestMatchInCores:
         assert weighted_jaccard(sample16, 3, 11) == pytest.approx(0.5)
         assert weighted_jaccard(sample16, 3, 15) == pytest.approx(2 / 3)
         cores = cores_of(sample16)
-        m, _ = match_in_cores(sample16, cores, FixedOrderRng())
-        assert m.mate[3] == 7 and m.mate[7] == 3
-        assert m.mate[11] == 15 and m.mate[15] == 11
+        mate, _ = match_in_cores(sample16, cores, FixedOrderRng())
+        assert mate[3] == 7 and mate[7] == 3
+        assert mate[11] == 15 and mate[15] == 11
 
     def test_pairs_stay_inside_cores(self, sample16):
         cores = cores_of(sample16)
@@ -80,8 +80,8 @@ class TestMatchInCores:
             for v in core:
                 membership[v] = i
         for seed in range(8):
-            m, _ = match_in_cores(sample16, cores, random.Random(seed))
-            for v, mv in enumerate(m.mate):
+            mate, _ = match_in_cores(sample16, cores, random.Random(seed))
+            for v, mv in enumerate(mate):
                 if mv is not None:
                     assert membership[v] == membership[mv]
 
@@ -89,34 +89,32 @@ class TestMatchInCores:
         h = make_path4()
         decomposition = CoreDecomposition(cores=[], singleton_cores=[],
                                           non_core=list(range(4)))
-        m, leftovers = match_in_cores(h, decomposition, random.Random(0))
-        assert all(x is None for x in m.mate)
+        mate, leftovers = match_in_cores(h, decomposition, random.Random(0))
+        assert all(x is None for x in mate)
         assert leftovers == [0, 1, 2, 3]
 
     def test_leftovers_cover_unmatched(self, sample16):
         cores = cores_of(sample16)
-        m, leftovers = match_in_cores(sample16, cores, random.Random(2))
-        unmatched = {v for v in range(16) if m.mate[v] is None}
+        mate, leftovers = match_in_cores(sample16, cores, random.Random(2))
+        unmatched = {v for v in range(16) if mate[v] is None}
         assert set(leftovers) == unmatched
 
 
 class TestMatchNoncore:
     def test_empty_pool(self, sample16):
-        m = Matching([None] * 16)
-        m2 = match_noncore(sample16, m, [], random.Random(0))
-        assert m2.mate == m.mate
+        m2 = match_noncore(sample16, [None] * 16, [], random.Random(0))
+        assert m2.mate == [None] * 16
 
     def test_early_stop_when_ratio_reached(self):
         # Eight vertices, six already matched: ratio 8/5 = 1.6 >= 1.5.
         mate = [1, 0, 3, 2, 5, 4, None, None]
         h = Hypergraph(8, [[6, 7]])
-        m2 = match_noncore(h, Matching(mate), [6, 7], random.Random(0))
+        m2 = match_noncore(h, mate, [6, 7], random.Random(0))
         assert m2.mate[6] is None and m2.mate[7] is None
 
     def test_path_matching(self):
         h = make_path4()
-        m = Matching([None] * 4)
-        m2 = match_noncore(h, m, [0, 1, 2, 3], FixedOrderRng())
+        m2 = match_noncore(h, [None] * 4, [0, 1, 2, 3], FixedOrderRng())
         # Visiting 0 first pairs it with 1 (the only positive-similarity
         # neighbour beats the rest), then 2 pairs with 3.
         assert m2.mate == [1, 0, 3, 2]
@@ -125,12 +123,12 @@ class TestMatchNoncore:
     def test_pool_vertex_pairs_outside_pool(self):
         # Any unmatched vertex is a candidate mate, not only pool members.
         h = make_path4()
-        m2 = match_noncore(h, Matching([None] * 4), [0], random.Random(0))
+        m2 = match_noncore(h, [None] * 4, [0], random.Random(0))
         assert m2.mate == [1, 0, None, None]
 
     def test_unmatched_vertex_without_neighbours(self):
         h = Hypergraph(3, [[0, 1]])
-        m2 = match_noncore(h, Matching([None] * 3), [0, 1, 2], random.Random(1))
+        m2 = match_noncore(h, [None] * 3, [0, 1, 2], random.Random(1))
         assert m2.mate[2] is None
 
     def test_involution_fuzz(self):
@@ -140,8 +138,8 @@ class TestMatchNoncore:
             if h.num_hyperedges == 0:
                 continue
             cores = cores_of(h, s=0.3, c=0.3)
-            m, leftovers = match_in_cores(h, cores, rng)
-            m = match_noncore(h, m, leftovers, rng)
+            mate, leftovers = match_in_cores(h, cores, rng)
+            m = match_noncore(h, mate, leftovers, rng)
             for v, mv in enumerate(m.mate):
                 if mv is not None:
                     assert mv != v
@@ -234,8 +232,8 @@ class TestMatchingOracle:
                                  c=rng.choice((0.0, 1 / 3, 0.5)))
             seed = rng.randrange(10 ** 6)
             fast_rng = random.Random(seed)
-            m, leftovers = match_in_cores(h, cores, fast_rng)
-            m = match_noncore(h, m, leftovers, fast_rng)
+            mate, leftovers = match_in_cores(h, cores, fast_rng)
+            m = match_noncore(h, mate, leftovers, fast_rng)
             expected = reference_matching(h, cores, random.Random(seed))
             assert m.mate == expected, f"trial {trial}"
 
@@ -247,8 +245,8 @@ class TestMatchingOracle:
         h = Hypergraph(n, [rng.sample(range(n), 4) for _ in range(300)])
         cores = CoreDecomposition([list(range(n))], [], [])
         fast_rng = random.Random(8)
-        m, leftovers = match_in_cores(h, cores, fast_rng)
-        m = match_noncore(h, m, leftovers, fast_rng)
+        mate, leftovers = match_in_cores(h, cores, fast_rng)
+        m = match_noncore(h, mate, leftovers, fast_rng)
         expected = reference_matching(h, cores, random.Random(8))
         assert m.mate == expected
 

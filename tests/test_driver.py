@@ -395,6 +395,40 @@ class TestSharedInputLevel:
         assert calls == {"validate": 1, "initial_threshold": 1,
                          "build_edge_partitions": 1, "extract_cores": 1}
 
+    def test_repeated_calls_share_the_input_work(self, monkeypatch):
+        # The work is kept on the hypergraph object, so repeated calls
+        # share it too, but an equal hypergraph built anew does it again.
+        import hypart.driver as drv
+
+        pins = grid_hypergraph(16, 16).pins_by_hyperedge
+        h, again = Hypergraph(256, pins), Hypergraph(256, pins)
+        names = ("validate", "initial_threshold", "build_edge_partitions",
+                 "extract_cores")
+        calls = {name: [0, 0] for name in names}
+
+        def counting(name):
+            original = getattr(drv, name)
+
+            def wrapper(*args, **kwargs):
+                if args[0] is h or args[0] is again:
+                    calls[name][args[0] is again] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(drv, name, counting(name))
+        cfg = PartitionConfig(k=4, epsilon=0.05, seed=3)
+        p1, s1 = partition_kway(h, cfg)
+        p2, s2 = partition_kway(h, cfg)
+        assert calls == {name: [1, 0] for name in names}
+        assert p1.assignment == p2.assignment
+        assert s1.bisections == s2.bisections
+
+        p3, s3 = partition_kway(again, cfg)
+        assert calls == {name: [1, 1] for name in names}
+        assert p3.assignment == p1.assignment
+        assert s3.bisections == s1.bisections
+
     @pytest.mark.parametrize("cfg", CONFIGS, ids=["auto"])
     def test_runs_match_single_seed_runs(self, monkeypatch, cfg):
         import hypart.driver as drv

@@ -9,7 +9,8 @@ from hypart import (BalanceWindow, Hypergraph, Partition, fm_pass, max_imbalance
 from hypart import model
 from hypart.model import dense_tables, is_dense
 
-from conftest import naive_cost, naive_connectivity, random_hypergraph
+from conftest import (naive_cost, naive_connectivity, random_hypergraph,
+                      random_weighted_hypergraph)
 from reference import connectivity_degree, edge_size
 
 
@@ -167,6 +168,19 @@ def rect_level(rng, hyperedge_weight=None):
     random 5-pin nets."""
     pins = [rng.sample(range(64), 5) for _ in range(3500)]
     return Hypergraph(64, pins, hyperedge_weight=hyperedge_weight)
+
+
+class TestVertexIncidentWeights:
+    def test_kept_on_the_hypergraph_and_equal_to_per_pin_sums(self):
+        rng = random.Random(29)
+        for _ in range(50):
+            h = random_weighted_hypergraph(rng)
+            weights = h.vertex_incident_weights()
+            assert h.vertex_incident_weights() is weights
+            expected = [sum(h.hyperedge_weight[e] for e in range(h.num_hyperedges)
+                            for u in h.pins_by_hyperedge[e] if u == v)
+                        for v in range(h.num_vertices)]
+            assert weights == expected
 
 
 class TestDenseTables:
