@@ -16,7 +16,7 @@ load it.
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left, insort
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .model import Hypergraph, dense_tables
@@ -165,10 +165,9 @@ class _DenseFmState(_FmState):
         gains = self.gains
         state = self.state
         buckets = self.buckets
-        heaps = self.heaps
+        all_keys = self.keys
         vertex_planes = tables.vertex_planes
         ge2 = self.ge2
-        heappush = heapq.heappush
         # The loop inlines _gain: a call per neighbour made the pass about
         # a quarter slower.
         for u in tables.neighbours[v]:
@@ -190,6 +189,8 @@ class _DenseFmState(_FmState):
                 bucket.remove(u)
                 if not bucket:
                     del side[g]
+                    keys = all_keys[s]
+                    del keys[bisect_left(keys, g)]
             else:
                 # Unlocked pins of cut hyperedges are in the buckets, so
                 # the hyperedge u shares with v was uncut, and the move
@@ -200,6 +201,6 @@ class _DenseFmState(_FmState):
             bucket = side.get(ng)
             if bucket is None:
                 side[ng] = {u}
-                heappush(heaps[s], -ng)
+                insort(all_keys[s], ng)
             else:
                 bucket.add(u)

@@ -254,20 +254,21 @@ def validate(h: Hypergraph) -> List[str]:
     """Check every structural invariant and return the violations found.
 
     An empty list means the hypergraph is well formed. Checks cover id
-    ranges, duplicate pins, positive weights, weight-array lengths and
-    the exact transpose relation between the two incidence directions.
+    ranges, duplicate pins, positive integer weights, weight-array
+    lengths and the exact transpose relation between the two incidence
+    directions.
     """
     problems: List[str] = []
     if len(h.vertex_weight) != h.num_vertices:
         problems.append("vertex weight array length mismatch")
     if len(h.hyperedge_weight) != h.num_hyperedges:
         problems.append("hyperedge weight array length mismatch")
-    for v, w in enumerate(h.vertex_weight):
-        if w < 1:
-            problems.append(f"vertex {v} has non-positive weight {w}")
-    for e, w in enumerate(h.hyperedge_weight):
-        if w < 1:
-            problems.append(f"hyperedge {e} has non-positive weight {w}")
+    for kind, weights in (("vertex", h.vertex_weight), ("hyperedge", h.hyperedge_weight)):
+        for i, w in enumerate(weights):
+            if type(w) is not int:
+                problems.append(f"{kind} {i} has non-integer weight {w!r}")
+            elif w < 1:
+                problems.append(f"{kind} {i} has non-positive weight {w}")
     for e, pins in enumerate(h.pins_by_hyperedge):
         for v in pins:
             if not 0 <= v < h.num_vertices:

@@ -12,15 +12,16 @@ A move is admissible when the resulting part-0 weight stays inside the
 balance window widened by one maximum vertex weight (single moves must
 stay possible on coarse levels where vertices are heavy), or when it
 strictly reduces the balance violation; moves that would empty a part
-are never admissible.
+are never admissible. Vertex weights are positive, so a move empties
+its side exactly when the side weighs no more than the moved vertex.
 
 Eligible vertices sit in per-side gain buckets (gain -> set of vertices
-of that part), and each side keeps a max-heap of its gains with lazy
-deletion: an entry whose bucket has emptied is popped when it surfaces.
-Selection takes each side's best admissible move, the maximum gain and
-then the lowest vertex id, and compares the two sides by gain, then
-prefers the move off the part above its target, then the lower vertex
-id.
+of that part), and each side keeps the gains of its buckets as one
+ascending list, updated whenever a bucket is created or emptied, so its
+last entry is the side's top gain. Selection takes each side's best
+admissible move, the maximum gain and then the lowest vertex id, and
+compares the two sides by gain, then prefers the move off the part
+above its target, then the lower vertex id.
 
 Within one selection, admissibility depends only on the source side and
 the vertex weight, and it is monotone in the weight: if a vertex of
@@ -55,7 +56,7 @@ gain from bit-sliced pin counts instead.
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left, insort
 from typing import Dict, List, Optional, Set, Tuple
 
 from .coarsen import LevelLink
@@ -116,10 +117,8 @@ class _FmState:
     ``state[v]`` is True while ``v`` is in a gain bucket, False while it
     is unlocked but outside the buckets, and None once it is locked.
     ``buckets[a]`` maps a gain to the set of bucketed vertices of part
-    ``a`` with that gain; ``heaps[a]`` is a max-heap (negated) of the
-    gains of side ``a``. Heap entries are deleted lazily: an entry whose
-    bucket is gone is popped when it reaches the top, and a gain may sit
-    in the heap more than once.
+    ``a`` with that gain, and ``keys[a]`` lists exactly those gains in
+    ascending order.
     """
 
     def __init__(self, h: Hypergraph, p: Partition, window: BalanceWindow,
@@ -129,7 +128,6 @@ class _FmState:
         self.window = window
         self.boundary_only = boundary_only
         assignment = p.assignment
-        n = h.num_vertices
 
         self.gains, self.cost, self.state = self._count()
         gains = self.gains
@@ -138,12 +136,7 @@ class _FmState:
             if in_bucket:
                 buckets[assignment[v]].setdefault(gains[v], set()).add(v)
         self.buckets = buckets
-        self.heaps = [[-g for g in side] for side in buckets]
-        for heap in self.heaps:
-            heapq.heapify(heap)
-
-        ones = sum(assignment)
-        self.part_size = [n - ones, ones]
+        self.keys = [sorted(side) for side in buckets]
 
         # Balance violation of the current part-0 weight; the window is
         # fixed for the pass, so apply_move keeps it current.
@@ -173,7 +166,7 @@ class _FmState:
 
     def admissible(self, side: int, weight: int) -> bool:
         """Whether a vertex of ``weight`` may move off ``side`` now."""
-        if self.part_size[side] <= 1:
+        if self.p.part_weight[side] <= weight:
             return False
         w0 = self.p.part_weight[0]
         w0_after = w0 - weight if side == 0 else w0 + weight
@@ -189,10 +182,7 @@ class _FmState:
             return None
         if self.admissible(a, self.wmax):
             # Every vertex of this side may move: take the top bucket.
-            heap = self.heaps[a]
-            while -heap[0] not in side:
-                heapq.heappop(heap)
-            top = -heap[0]
+            top = self.keys[a][-1]
             return top, min(side[top])
         if self.wmin == self.wmax or not self.admissible(a, self.wmin):
             # Admissibility is monotone in the weight, so no vertex of
@@ -200,7 +190,7 @@ class _FmState:
             return None
         weight = self.h.vertex_weight
         memo: Dict[int, bool] = {}
-        for gain in sorted(side, reverse=True):
+        for gain in reversed(self.keys[a]):
             best = None
             for u in side[gain]:
                 if best is None or u < best:
@@ -244,6 +234,8 @@ class _FmState:
             bucket.remove(v)
             if not bucket:
                 del side[gain]
+                keys = self.keys[a]
+                del keys[bisect_left(keys, gain)]
         self.state[v] = None
         self._update_gains(v, a)
         weight = self.h.vertex_weight[v]
@@ -251,8 +243,6 @@ class _FmState:
         p.part_weight[a] -= weight
         p.part_weight[b] += weight
         self.violation = self.window.violation(p.part_weight[0])
-        self.part_size[a] -= 1
-        self.part_size[b] += 1
 
     def _update_gains(self, v: int, a: int) -> None:
         """Update pin counts, cost, gains, buckets and vertex states for
@@ -263,11 +253,10 @@ class _FmState:
         gains = self.gains
         state = self.state
         buckets = self.buckets
-        heaps = self.heaps
+        all_keys = self.keys
         count0 = self.count0
         pins_by_hyperedge = h.pins_by_hyperedge
         hyperedge_weight = h.hyperedge_weight
-        heappush = heapq.heappush
         cost = self.cost
         for e in h.pins_by_vertex[v]:
             pins = pins_by_hyperedge[e]
@@ -318,6 +307,8 @@ class _FmState:
                     bucket.remove(u)
                     if not bucket:
                         del side[g]
+                        keys = all_keys[s]
+                        del keys[bisect_left(keys, g)]
                 else:
                     # Unlocked pins of cut nets are in the buckets, so
                     # e is the net entering the cut.
@@ -325,14 +316,14 @@ class _FmState:
                 bucket = side.get(ng)
                 if bucket is None:
                     side[ng] = {u}
-                    heappush(heaps[s], -ng)
+                    insort(all_keys[s], ng)
                 else:
                     bucket.add(u)
         self.cost = cost
 
     def audit(self) -> None:
         """Recount pin counts, cost and gains from scratch and check the
-        bucket and heap invariants; raise :class:`FmAuditError` on any
+        bucket and gain-list invariants; raise :class:`FmAuditError` on any
         disagreement."""
         h = self.h
         assignment = self.p.assignment
@@ -350,12 +341,11 @@ class _FmState:
                 raise FmAuditError(f"incremental gain drift at vertex {u}")
         seen = set()
         for s in (0, 1):
-            in_heap = {-g for g in self.heaps[s]}
+            if self.keys[s] != sorted(self.buckets[s]):
+                raise FmAuditError(f"gain list of side {s} disagrees with its buckets")
             for gain, bucket in self.buckets[s].items():
                 if not bucket:
                     raise FmAuditError(f"empty bucket for gain {gain} on side {s}")
-                if gain not in in_heap:
-                    raise FmAuditError(f"gain {gain} of side {s} missing from its heap")
                 for u in bucket:
                     if (u in seen or state[u] is not True
                             or assignment[u] != s or self.gains[u] != gain):

@@ -4,8 +4,9 @@ The reference below recounts gains and cost from scratch before every
 move and selects moves the plain way: it walks the distinct gains in
 descending order and, per gain and side, scans for the lowest-id
 admissible vertex. The engine in ``hypart.refine`` keeps incremental
-gains, per-side buckets and a lazy max-gain heap, and rejects a blocked
-side at once; it must make exactly the same moves.
+gains, per-side buckets and an ascending list of each side's bucket
+gains, and rejects a blocked side at once; it must make exactly the
+same moves.
 
 The fuzzed hypergraphs are small, so the fuzz draws the early-exit
 window of ``fm-ee`` passes from (1, 3, 50) by setting
@@ -389,10 +390,27 @@ class TestAudit:
         with pytest.raises(FmAuditError):
             state.audit()
 
-    def test_detects_gain_missing_from_heap(self):
+    def test_detects_listed_empty_bucket(self):
         state = self.fresh_state()
-        state.heaps[1].clear()
-        with pytest.raises(FmAuditError):
+        state.buckets[0][10**6] = set()
+        state.keys[0].append(10**6)
+        with pytest.raises(FmAuditError, match="empty bucket"):
+            state.audit()
+
+    def test_detects_gain_missing_from_list(self):
+        state = self.fresh_state()
+        assert state.keys[1]
+        state.keys[1].pop()
+        with pytest.raises(FmAuditError, match="gain list"):
+            state.audit()
+
+    def test_detects_stale_gain_in_list(self):
+        # A gain whose bucket is gone; the list must not keep it.
+        state = self.fresh_state()
+        stale = max(state.keys[0]) + 1
+        state.keys[0].append(stale)
+        assert stale not in state.buckets[0]
+        with pytest.raises(FmAuditError, match="gain list"):
             state.audit()
 
     def test_detects_missing_eligible_vertex(self):
@@ -420,6 +438,7 @@ class TestAudit:
         state.buckets[0][gain].discard(2)
         if not state.buckets[0][gain]:
             del state.buckets[0][gain]
+            state.keys[0].remove(gain)
         state.state[2] = False
         with pytest.raises(FmAuditError, match="missing from the buckets"):
             state.audit()

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from hypart import (BalanceWindow, Hypergraph, Partition, fm_pass, max_imbalance,
-                    partition_cost, validate)
+from hypart import (BalanceWindow, Hypergraph, Partition, PartitionConfig, fm_pass,
+                    max_imbalance, partition_cost, partition_kway, validate)
 from hypart import model
 from hypart.model import dense_tables, is_dense
 
@@ -33,6 +33,20 @@ class TestValidate:
     def test_zero_weight(self):
         h = Hypergraph(2, [[0, 1]], vertex_weight=[0, 1])
         assert any("non-positive" in p for p in problems_of(h))
+
+    def test_non_integer_weights(self):
+        # A float hyperedge weight would reach clustering, whose weight
+        # bound is an integer.
+        h = Hypergraph(4, [[0, 1], [0, 1], [2, 3]], vertex_weight=[1, 2.0, 1, True],
+                       hyperedge_weight=[1.5, 1.8, 10])
+        assert problems_of(h) == [
+            "vertex 1 has non-integer weight 2.0",
+            "vertex 3 has non-integer weight True",
+            "hyperedge 0 has non-integer weight 1.5",
+            "hyperedge 1 has non-integer weight 1.8",
+        ]
+        with pytest.raises(ValueError, match="non-integer"):
+            partition_kway(h, PartitionConfig(k=2))
 
     def test_transpose_roundtrip(self):
         rng = random.Random(7)
