@@ -28,7 +28,7 @@ from .coarsen import (LevelLink, contract, initial_threshold, match_in_cores,
 from .initpart import INIT_METHODS, generate_candidate, select_best
 from .model import (BalanceWindow, Hypergraph, InfeasibleBalanceError,
                     Partition, cached, dense_tables, derive_hypergraph,
-                    max_imbalance, partition_cost, validate)
+                    max_imbalance, part_interval, partition_cost, validate)
 from .refine import refine_bipartition, project
 from .roughset import CoreDecomposition, build_edge_partitions, extract_cores
 
@@ -170,8 +170,8 @@ def _bipartition_window(h: Hypergraph, rng: random.Random, window: BalanceWindow
 
     dense_levels = (dense_tables(current) is not None) + sum(
         dense_tables(link.fine) is not None for link in levels)
-    info = {"levels": len(levels), "r": ratios, "s": thresholds,
-            "clusters": multi_clusters,
+    info = {"levels": len(levels), "window": [window.lower, window.upper],
+            "r": ratios, "s": thresholds, "clusters": multi_clusters,
             "cost": partition_cost(h, p),
             "coarsest": {"vertices": current.num_vertices,
                          "hyperedges": current.num_hyperedges,
@@ -192,21 +192,6 @@ def bipartition(h: Hypergraph, cfg: PartitionConfig) -> Tuple[Partition, dict]:
     partition and the record of its one bisection."""
     p, stats = partition_kway(h, cfg._replace(k=2))
     return p, stats.bisections[0]
-
-
-def _part_interval(avg_part: float, epsilon: float) -> Tuple[int, int]:
-    """Integer interval ``(L, H)`` of weights one part may take.
-
-    Part weights are integers, so a part must weigh between
-    ceil((1 - eps) * avg) and floor((1 + eps) * avg). A quota of k parts
-    may weigh anything in k * [L, H]: the sum of k such intervals, which
-    stays a contiguous integer interval. Windows drawn from these
-    intervals always contain a weight the descendants can realise, which
-    real-valued windows do not guarantee (a node may be handed a weight
-    whose child window contains no integer).
-    """
-    return (math.ceil(avg_part * (1.0 - epsilon) - 1e-9),
-            math.floor(avg_part * (1.0 + epsilon) + 1e-9))
 
 
 def induce_subhypergraph(h: Hypergraph, p: Partition, part: int) -> Tuple[Hypergraph, List[int]]:
@@ -248,12 +233,11 @@ def _partition_run(h: Hypergraph, cfg: PartitionConfig) -> Tuple[Partition, RunS
             raise ValueError("invalid hypergraph: " + "; ".join(problems[:5]))
         if cfg.k > h.num_vertices:
             raise ValueError(f"k={cfg.k} exceeds the number of vertices {h.num_vertices}")
-        avg_part = h.total_vertex_weight / cfg.k
         assignment = [0] * h.num_vertices
 
     rng = random.Random(cfg.seed)
     bisections: List[dict] = []
-    part_lo, part_hi = _part_interval(avg_part, cfg.epsilon)
+    part_lo, part_hi = part_interval(h.total_vertex_weight / cfg.k, cfg.epsilon)
     if not cfg.k * part_lo <= h.total_vertex_weight <= cfg.k * part_hi:
         raise InfeasibleBalanceError(
             f"total weight {h.total_vertex_weight} cannot split into {cfg.k} "
@@ -267,14 +251,7 @@ def _partition_run(h: Hypergraph, cfg: PartitionConfig) -> Tuple[Partition, RunS
     def recurse(sub: Hypergraph, back: List[int], k_node: int, base: int) -> None:
         k1 = (k_node + 1) // 2
         k2 = k_node // 2
-        w_node = sub.total_vertex_weight
-        lower = max(k1 * part_lo, w_node - k2 * part_hi)
-        upper = min(k1 * part_hi, w_node - k2 * part_lo)
-        if lower > upper:
-            raise InfeasibleBalanceError(
-                f"empty balance window for a {k1}:{k2} split of weight {w_node}")
-        target = min(max(w_node * k1 / k_node, lower), upper)
-        window = BalanceWindow(float(lower), float(upper), target)
+        window = BalanceWindow.split(sub.total_vertex_weight, k1, k2, part_lo, part_hi)
         p, info = _bipartition_window(sub, rng, window, timer)
         bisections.append(info)
         for v, side in zip(back, p.assignment):

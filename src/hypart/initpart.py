@@ -20,7 +20,7 @@ from .refine import refine_bipartition
 INIT_METHODS = ("random", "linear", "fm-seeded")
 
 
-def _ensure_both_parts(h: Hypergraph, assignment: List[int]) -> None:
+def _ensure_both_parts(assignment: List[int]) -> None:
     ones = sum(assignment)
     sizes = [len(assignment) - ones, ones]
     for part in (0, 1):
@@ -49,7 +49,7 @@ def generate_candidate(h: Hypergraph, method: str, rng: random.Random,
     if method not in INIT_METHODS:
         raise ValueError(f"unknown init method {method!r}; expected one of {INIT_METHODS}")
     total = h.total_vertex_weight
-    if max(h.vertex_weight) > min(window.upper, total - window.lower) + 1e-9:
+    if max(h.vertex_weight) > min(window.upper, total - window.lower):
         raise InfeasibleBalanceError("a single vertex exceeds the part weight bound")
 
     if method == "fm-seeded":
@@ -78,7 +78,7 @@ def generate_candidate(h: Hypergraph, method: str, rng: random.Random,
         weights = [0, 0]
         for v in order:
             w = h.vertex_weight[v]
-            feasible = [part for part in (0, 1) if weights[part] + w <= cap[part] + 1e-9]
+            feasible = [part for part in (0, 1) if weights[part] + w <= cap[part]]
             if len(feasible) == 2:
                 part = feasible[rng.randrange(2)]
             elif feasible:
@@ -94,13 +94,13 @@ def generate_candidate(h: Hypergraph, method: str, rng: random.Random,
         part = start
         for v in range(n):
             w = h.vertex_weight[v]
-            if part == start and filled + w > target + 1e-9:
+            if part == start and filled + w > target:
                 part = 1 - start
             assignment[v] = part
             if part == start:
                 filled += w
 
-    _ensure_both_parts(h, assignment)
+    _ensure_both_parts(assignment)
     return Partition.from_assignment(h, 2, assignment)
 
 
@@ -123,7 +123,7 @@ def select_best(candidates: Sequence[Partition], h: Hypergraph,
     best_key = None
     for index, p in enumerate(candidates):
         violation = window.violation(p.part_weight[0])
-        if violation == 0.0:
+        if violation == 0:
             if isinstance(p, _CostedCandidate):
                 cost = p.cost
             elif tables is not None:

@@ -16,6 +16,7 @@ count with ``int.bit_count`` instead of walking pins.
 
 from __future__ import annotations
 
+import math
 from typing import (TYPE_CHECKING, Callable, Iterable, List, NamedTuple, Optional,
                     Sequence, Tuple, TypeVar)
 
@@ -316,24 +317,60 @@ def max_imbalance(h: Hypergraph, p: Partition) -> float:
     return max(abs(w - avg) / avg for w in p.part_weight)
 
 
+def part_interval(avg_part: float, epsilon: float) -> Tuple[int, int]:
+    """Integer interval ``(L, H)`` of weights one part may take.
+
+    Part weights are integers, so a part must weigh between
+    ceil((1 - eps) * avg) and floor((1 + eps) * avg). A quota of k parts
+    may weigh anything in k * [L, H]: the sum of k such intervals, which
+    stays a contiguous integer interval. Windows drawn from these
+    intervals always contain a weight the descendants can realise, which
+    real-valued windows do not guarantee (a node may be handed a weight
+    whose child window contains no integer).
+    """
+    return (math.ceil(avg_part * (1.0 - epsilon) - 1e-9),
+            math.floor(avg_part * (1.0 + epsilon) + 1e-9))
+
+
 class BalanceWindow(NamedTuple):
     """Feasible interval for the weight of part 0 in a bisection.
 
-    ``target`` is the aim point; ``lower``/``upper`` bound the part-0
-    weight of an acceptable bisection. Part 1 is implied by the total.
-    Windows built by the driver are complement-consistent, so checking
-    part 0 checks both sides.
+    ``lower``/``upper`` are the integer bounds of the part-0 weight of an
+    acceptable bisection, and ``target`` is the aim point inside them.
+    Part 1 is implied by the total. Windows built by :meth:`split` are
+    complement-consistent, so checking part 0 checks both sides. Part
+    weights are integers too, so :meth:`violation` is exact and a
+    balanced part-0 weight has violation 0.
     """
 
-    lower: float
-    upper: float
+    lower: int
+    upper: int
     target: float
 
     @classmethod
-    def symmetric(cls, total_weight: int, epsilon: float) -> "BalanceWindow":
-        avg = total_weight / 2.0
-        return cls(avg * (1.0 - epsilon), avg * (1.0 + epsilon), avg)
+    def split(cls, weight: int, k1: int, k2: int, part_lo: int,
+              part_hi: int) -> "BalanceWindow":
+        """Window of a node of ``weight`` that splits into ``k1`` parts on
+        side 0 and ``k2`` on side 1, each part weighing an integer in
+        ``[part_lo, part_hi]`` (see :func:`part_interval`).
 
-    def violation(self, weight0: float) -> float:
-        v = max(self.lower - weight0, weight0 - self.upper, 0.0)
-        return 0.0 if v <= 1e-9 else v
+        Side 0 must hold a weight its k1 parts can realise and leave one
+        the k2 parts of side 1 can realise, and the target, the k1:k2
+        share of ``weight``, is clamped into the window. Raises
+        :class:`InfeasibleBalanceError` when no integer weight qualifies.
+        """
+        lower = max(k1 * part_lo, weight - k2 * part_hi)
+        upper = min(k1 * part_hi, weight - k2 * part_lo)
+        if lower > upper:
+            raise InfeasibleBalanceError(
+                f"empty balance window for a {k1}:{k2} split of weight {weight}")
+        return cls(lower, upper, min(max(weight * k1 / (k1 + k2), lower), upper))
+
+    @classmethod
+    def symmetric(cls, total_weight: int, epsilon: float) -> "BalanceWindow":
+        """The window of a two-way partition of ``total_weight`` within
+        ``epsilon``: the root window of ``partition_kway`` at k = 2."""
+        return cls.split(total_weight, 1, 1, *part_interval(total_weight / 2, epsilon))
+
+    def violation(self, weight0: int) -> int:
+        return max(self.lower - weight0, weight0 - self.upper, 0)

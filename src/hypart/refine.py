@@ -26,17 +26,22 @@ above its target, then the lower vertex id.
 Within one selection, admissibility depends only on the source side and
 the vertex weight, and it is monotone in the weight: if a vertex of
 weight w may leave side a, so may every lighter vertex of side a. The
-accepted part-0 weights are the union of the widened window and the
-set where the violation is lower than now. The violation is
-quasi-convex, so that set is an interval, and both intervals contain
-[lower, upper], so the union is one interval. Between an accepted
-part-0 weight and the current one, that interval misses at most the
-last unit before the current weight, and vertex weights are positive
-integers, so every lighter move lands inside it. Hence a side whose lightest possible vertex is blocked
-is skipped at once, a side whose heaviest vertex may move takes the
-lowest id of its top bucket, and only in between are buckets walked
-downward, with admissibility memoised per weight. The argument needs a
-nonempty window, which :func:`fm_pass` checks.
+window bounds and all weights are integers, so violations are exact
+integers and no comparison needs slack. The accepted part-0 weights are
+the union of the widened window and the set where the violation is lower
+than now. That set is empty when the current weight is balanced;
+otherwise the violation is quasi-convex, so the set is an open interval
+that ends at the current weight and contains [lower, upper]. The widened
+window contains [lower, upper] too, and the current weight when it is
+balanced. So the union is one interval, and it holds every weight
+strictly between an accepted part-0 weight and the current one. Vertex
+weights are positive, so a lighter move off the same side lands strictly
+between the heavier move's weight and the current one. Hence a side
+whose lightest possible vertex is blocked is skipped at once, a side
+whose heaviest vertex may move takes the lowest id of its top bucket,
+and only in between are buckets walked downward, with admissibility
+memoised per weight. The argument needs a nonempty window, which
+:func:`fm_pass` checks.
 
 Each vertex is in one of three states: in a gain bucket, unlocked but
 outside the buckets (a ``bfm`` vertex that touches no cut hyperedge
@@ -170,9 +175,9 @@ class _FmState:
             return False
         w0 = self.p.part_weight[0]
         w0_after = w0 - weight if side == 0 else w0 + weight
-        if self.lo_soft - 1e-9 <= w0_after <= self.hi_soft + 1e-9:
+        if self.lo_soft <= w0_after <= self.hi_soft:
             return True
-        return self.window.violation(w0_after) < self.violation - 1e-12
+        return self.window.violation(w0_after) < self.violation
 
     def _side_best(self, a: int) -> Optional[Tuple[int, int]]:
         """``(gain, vertex)`` of the best admissible move off side ``a``:
@@ -388,8 +393,8 @@ def fm_pass(h: Hypergraph, p: Partition, mode: str, window: BalanceWindow,
         from .dense import _DenseFmState
         state = _DenseFmState(h, p, window, boundary_only=(mode == "bfm"))
     initial_cost = state.cost
-    # States compare by violation, then cost; a violation is exactly 0.0
-    # or above 1e-9, so balanced states come first.
+    # States compare by violation, then cost; violations are exact, so
+    # balanced states, whose violation is 0, come first.
     best_key = (state.violation, state.cost)
     best_cost = state.cost
     best_index = 0

@@ -164,8 +164,8 @@ class TestCli:
         records = document["bisections"]
         assert len(records) == 3   # k=4 needs three bisections
         for record in records:
-            assert set(record) == {"levels", "r", "s", "clusters", "cost", "coarsest",
-                                   "dense_fm", "fallback"}
+            assert set(record) == {"levels", "window", "r", "s", "clusters", "cost",
+                                   "coarsest", "dense_fm", "fallback"}
             assert len(record["r"]) == len(record["s"]) == len(record["clusters"]) \
                 == record["levels"]
             assert set(record["coarsest"]) == {"vertices", "hyperedges", "pins"}

@@ -5,10 +5,11 @@ import random
 
 import pytest
 
-from hypart import (Hypergraph, InfeasibleBalanceError, PartitionConfig,
-                    PHASE_KEYS, bipartition, induce_subhypergraph,
+from hypart import (BalanceWindow, Hypergraph, InfeasibleBalanceError,
+                    PartitionConfig, PHASE_KEYS, bipartition, induce_subhypergraph,
                     max_imbalance, partition_cost, partition_kway, run_many)
-from hypart.driver import _part_interval, std_dev_percent
+from hypart.driver import std_dev_percent
+from hypart.model import part_interval
 
 from conftest import make_path4, naive_cost, random_hypergraph
 from reference import brute_force_bipartition
@@ -240,7 +241,7 @@ class TestQuotaInterval:
             else:
                 avg = rng.uniform(0.5, 500.0)
             epsilon = rng.choice((0.01, 0.02, 0.05, rng.uniform(0.001, 0.999)))
-            lo, hi = _part_interval(avg, epsilon)
+            lo, hi = part_interval(avg, epsilon)
             empty += lo > hi
             for k in range(1, 65):
                 assert (k * lo, k * hi) == reference_quota_interval(k, avg, epsilon), \
@@ -253,6 +254,26 @@ class TestQuotaInterval:
         with pytest.raises(InfeasibleBalanceError,
                            match="total weight 10 cannot split into 3 parts"):
             partition_kway(path10, PartitionConfig(k=3, epsilon=0.02))
+
+    def test_k2_record_window_is_the_symmetric_window(self):
+        rng = random.Random(73)
+        checked = 0
+        for trial in range(60):
+            n = rng.randint(4, 160)
+            pins = [rng.sample(range(n), rng.randint(2, 4)) for _ in range(2 * n)]
+            h = Hypergraph(n, pins, vertex_weight=[rng.randint(1, 4) for _ in range(n)])
+            epsilon = rng.choice((0.02, 0.05, 0.1, 0.3))
+            try:
+                _, stats = partition_kway(h, PartitionConfig(k=2, epsilon=epsilon,
+                                                             seed=trial))
+            except InfeasibleBalanceError:
+                continue
+            window = BalanceWindow.symmetric(h.total_vertex_weight, epsilon)
+            record = stats.bisections[0]["window"]
+            assert record == [window.lower, window.upper], trial
+            assert all(type(bound) is int for bound in record)
+            checked += 1
+        assert checked >= 40
 
 
 class TestInduceSubhypergraph:

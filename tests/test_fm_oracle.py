@@ -24,8 +24,8 @@ import random
 
 import pytest
 
-from hypart import (BalanceWindow, Hypergraph, Partition, fm_pass,
-                    refine_bipartition)
+from hypart import (BalanceWindow, Hypergraph, InfeasibleBalanceError, Partition,
+                    fm_pass, refine_bipartition)
 from hypart import model, refine
 from hypart.dense import _DenseFmState
 from hypart.refine import FmAuditError, _FmState, _recount
@@ -199,9 +199,14 @@ def weighted_hypergraph(rng):
 
 
 def random_window(rng, total):
-    """Symmetric or asymmetric window, target inside it as the driver makes."""
+    """Symmetric or asymmetric window, target inside it as the driver makes.
+    A symmetric draw whose window holds no integer weight is replaced by an
+    asymmetric one."""
     if rng.random() < 0.4:
-        return BalanceWindow.symmetric(total, rng.choice((0.02, 0.1, 0.3)))
+        try:
+            return BalanceWindow.symmetric(total, rng.choice((0.02, 0.1, 0.3)))
+        except InfeasibleBalanceError:
+            pass
     lower = rng.randint(1, max(1, total - 1))
     upper = min(total, lower + rng.randint(0, max(1, total // 4)))
     target = rng.uniform(lower, upper)

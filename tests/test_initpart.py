@@ -118,7 +118,10 @@ class TestSelectBest:
             h = random_weighted_hypergraph(rng, max_weight=9)
             if h.num_vertices < 2:
                 continue
-            window = symmetric_window(h, rng.choice((0.02, 0.1, 0.3)))
+            try:
+                window = symmetric_window(h, rng.choice((0.02, 0.1, 0.3)))
+            except InfeasibleBalanceError:
+                continue   # the window holds no integer weight
             candidates = [generate_candidate(h, method, rng, window=window)
                           for method in ("random", "linear", "fm-seeded", "fm-seeded")]
             for p in candidates[2:]:

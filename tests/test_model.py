@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from hypart import (BalanceWindow, Hypergraph, Partition, PartitionConfig, fm_pass,
-                    max_imbalance, partition_cost, partition_kway, validate)
+from hypart import (BalanceWindow, Hypergraph, InfeasibleBalanceError, Partition,
+                    PartitionConfig, fm_pass, max_imbalance, partition_cost,
+                    partition_kway, validate)
 from hypart import model
 from hypart.model import dense_tables, is_dense
 
@@ -175,6 +176,35 @@ class TestMaxImbalance:
             for v, a in enumerate(assignment):
                 expected[a] += h.vertex_weight[v]
             assert p.part_weight == expected
+
+
+class TestBalanceWindow:
+    def test_symmetric_has_integer_bounds(self):
+        # avg * (1 +- eps) is [49.49, 51.51]; a part weighs an integer.
+        assert BalanceWindow.symmetric(101, 0.02) == (50, 51, 50.5)
+
+    def test_violation_is_exact(self):
+        window = BalanceWindow.symmetric(101, 0.02)
+        assert [window.violation(w) for w in (48, 49, 50, 51, 52)] == [2, 1, 0, 0, 1]
+
+    def test_symmetric_raises_where_a_k2_run_cannot_split(self):
+        outcomes = set()
+        for total in range(2, 201):
+            h = Hypergraph(2, [[0, 1]], vertex_weight=[total // 2, total - total // 2])
+            for epsilon in (0.02, 0.1, 0.3):
+                try:
+                    BalanceWindow.symmetric(total, epsilon)
+                    empty = False
+                except InfeasibleBalanceError:
+                    empty = True
+                try:
+                    partition_kway(h, PartitionConfig(k=2, epsilon=epsilon))
+                    rejected = False
+                except InfeasibleBalanceError as exc:
+                    rejected = "cannot split into 2 parts" in str(exc)
+                assert empty == rejected, (total, epsilon)
+                outcomes.add(empty)
+        assert outcomes == {False, True}
 
 
 def rect_level(rng, hyperedge_weight=None):
