@@ -114,7 +114,6 @@ def _bipartition_window(h: Hypergraph, rng: random.Random, window: BalanceWindow
     ends outside the window.
     """
     levels: List[LevelLink] = []
-    ratios: List[float] = []
     thresholds: List[float] = []
     multi_clusters: List[int] = []
     current = h
@@ -135,7 +134,6 @@ def _bipartition_window(h: Hypergraph, rng: random.Random, window: BalanceWindow
             link = contract(current, matching)
         ratio = current.num_vertices / link.coarse.num_vertices
         levels.append(link)
-        ratios.append(ratio)
         thresholds.append(ts.s)
         multi_clusters.append(multi)
         current = link.coarse
@@ -171,7 +169,8 @@ def _bipartition_window(h: Hypergraph, rng: random.Random, window: BalanceWindow
     dense_levels = (dense_tables(current) is not None) + sum(
         dense_tables(link.fine) is not None for link in levels)
     info = {"levels": len(levels), "window": [window.lower, window.upper],
-            "r": ratios, "s": thresholds, "clusters": multi_clusters,
+            "r": [link.fine.num_vertices / link.coarse.num_vertices for link in levels],
+            "s": thresholds, "clusters": multi_clusters,
             "cost": partition_cost(h, p),
             "coarsest": {"vertices": current.num_vertices,
                          "hyperedges": current.num_hyperedges,
@@ -243,12 +242,12 @@ def _partition_run(h: Hypergraph, cfg: PartitionConfig) -> Tuple[Partition, RunS
             f"total weight {h.total_vertex_weight} cannot split into {cfg.k} "
             f"parts within tolerance {cfg.epsilon}")
 
-    # Invariant: every vertex of a node already holds the node's ``base``
-    # in ``assignment`` (at the root, the initial 0). A bisection adds k1
-    # to its side-1 vertices, which then hold ``base + k1``, so a side
-    # whose quota is one part is final and only a side that splits again
-    # is induced, side 0's subtree first.
-    def recurse(sub: Hypergraph, back: List[int], k_node: int, base: int) -> None:
+    # Invariant: every vertex of a node already holds the id of the
+    # node's first part in ``assignment`` (at the root, the initial 0). A
+    # bisection adds k1 to its side-1 vertices, which then hold the id of
+    # side 1's first part, so a side whose quota is one part is final and
+    # only a side that splits again is induced, side 0's subtree first.
+    def recurse(sub: Hypergraph, back: List[int], k_node: int) -> None:
         k1 = (k_node + 1) // 2
         k2 = k_node // 2
         window = BalanceWindow.split(sub.total_vertex_weight, k1, k2, part_lo, part_hi)
@@ -256,14 +255,14 @@ def _partition_run(h: Hypergraph, cfg: PartitionConfig) -> Tuple[Partition, RunS
         bisections.append(info)
         for v, side in zip(back, p.assignment):
             assignment[v] += k1 * side
-        for side, k_side, base_side in ((0, k1, base), (1, k2, base + k1)):
+        for side, k_side in ((0, k1), (1, k2)):
             if k_side > 1:
                 with timer.phase("recursion"):
                     sub_side, back_side = induce_subhypergraph(sub, p, side)
                     back_side = [back[v] for v in back_side]
-                recurse(sub_side, back_side, k_side, base_side)
+                recurse(sub_side, back_side, k_side)
 
-    recurse(h, list(range(h.num_vertices)), cfg.k, 0)
+    recurse(h, list(range(h.num_vertices)), cfg.k)
     p = Partition.from_assignment(h, cfg.k, assignment)
     imbalance = max_imbalance(h, p)
     if imbalance > cfg.epsilon + 1e-9:

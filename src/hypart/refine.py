@@ -23,25 +23,26 @@ admissible move, the maximum gain and then the lowest vertex id, and
 compares the two sides by gain, then prefers the move off the part
 above its target, then the lower vertex id.
 
-Within one selection, admissibility depends only on the source side and
-the vertex weight, and it is monotone in the weight: if a vertex of
-weight w may leave side a, so may every lighter vertex of side a. The
-window bounds and all weights are integers, so violations are exact
-integers and no comparison needs slack. The accepted part-0 weights are
-the union of the widened window and the set where the violation is lower
-than now. That set is empty when the current weight is balanced;
-otherwise the violation is quasi-convex, so the set is an open interval
-that ends at the current weight and contains [lower, upper]. The widened
-window contains [lower, upper] too, and the current weight when it is
-balanced. So the union is one interval, and it holds every weight
-strictly between an accepted part-0 weight and the current one. Vertex
-weights are positive, so a lighter move off the same side lands strictly
-between the heavier move's weight and the current one. Hence a side
-whose lightest possible vertex is blocked is skipped at once, a side
-whose heaviest vertex may move takes the lowest id of its top bucket,
-and only in between are buckets walked downward, with admissibility
-memoised per weight. The argument needs a nonempty window, which
-:func:`fm_pass` checks.
+Within one selection the accepted part-0 weights form one integer
+interval. Bounds and weights are integers, so violations are exact.
+Once per pass, ``lo = min(lower, ceil(target - wmax))`` and
+``hi = max(upper, floor(target + wmax))``, so the window widened by one
+maximum vertex weight holds the integers ``[lo, hi]``. With ``v`` the
+current violation, the part-0 weights whose violation is lower than now
+are ``[lower - v + 1, upper + v - 1]``, empty when ``v = 0``. Both sets
+hold ``[lower, upper]`` when ``v > 0``, and ``[lo, hi]`` always does, so
+their union is ``[min(lo, lower - v + 1), max(hi, upper + v - 1)]``.
+The current part-0 weight is in it or one past the end on the side of
+its violation, so a move off side 0, which lowers the part-0 weight,
+can only leave the interval through its lower end, and a move off
+side 1 only through its upper end. Each side therefore has one heaviest
+movable weight, :meth:`_FmState.limit`: the distance to that end,
+capped one below the side's weight so that the side never empties. A
+side whose limit reaches the level's heaviest vertex takes the lowest
+id of its top bucket, a side whose limit is below the level's lightest
+vertex is skipped, and only in between are buckets walked downward to
+the first one holding a vertex within the limit. The argument needs a
+nonempty window, which :func:`fm_pass` checks.
 
 Each vertex is in one of three states: in a gain bucket, unlocked but
 outside the buckets (a ``bfm`` vertex that touches no cut hyperedge
@@ -61,6 +62,7 @@ gain from bit-sliced pin counts instead.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -148,8 +150,9 @@ class _FmState:
         self.violation = window.violation(p.part_weight[0])
         self.wmin = min(h.vertex_weight, default=1)
         self.wmax = h.max_vertex_weight()
-        self.lo_soft = min(window.lower, window.target - self.wmax)
-        self.hi_soft = max(window.upper, window.target + self.wmax)
+        # The integers of the window widened by one maximum vertex weight.
+        self.lo = min(window.lower, math.ceil(window.target - self.wmax))
+        self.hi = max(window.upper, math.floor(window.target + self.wmax))
 
     def _count(self) -> Tuple[List[int], int, List[Optional[bool]]]:
         """Gains, cut cost and the initial vertex states, from scratch;
@@ -169,43 +172,32 @@ class _FmState:
         """Part-0 pin count of every hyperedge, as the pass tracks it."""
         return self.count0
 
-    def admissible(self, side: int, weight: int) -> bool:
-        """Whether a vertex of ``weight`` may move off ``side`` now."""
-        if self.p.part_weight[side] <= weight:
-            return False
-        w0 = self.p.part_weight[0]
-        w0_after = w0 - weight if side == 0 else w0 + weight
-        if self.lo_soft <= w0_after <= self.hi_soft:
-            return True
-        return self.window.violation(w0_after) < self.violation
+    def limit(self, side: int) -> int:
+        """Heaviest vertex weight that may move off ``side`` now."""
+        w0, w1 = self.p.part_weight
+        v = self.violation
+        if side == 0:
+            return min(w0 - 1, w0 - min(self.lo, self.window.lower - v + 1))
+        return min(w1 - 1, max(self.hi, self.window.upper + v - 1) - w0)
 
     def _side_best(self, a: int) -> Optional[Tuple[int, int]]:
         """``(gain, vertex)`` of the best admissible move off side ``a``:
-        the maximum gain, then the lowest vertex id."""
+        the maximum gain, then the lowest vertex id, among the vertices
+        no heavier than :meth:`limit`."""
         side = self.buckets[a]
         if not side:
             return None
-        if self.admissible(a, self.wmax):
-            # Every vertex of this side may move: take the top bucket.
+        limit = self.limit(a)
+        if limit >= self.wmax:
             top = self.keys[a][-1]
             return top, min(side[top])
-        if self.wmin == self.wmax or not self.admissible(a, self.wmin):
-            # Admissibility is monotone in the weight, so no vertex of
-            # this side may move.
+        if limit < self.wmin:
             return None
         weight = self.h.vertex_weight
-        memo: Dict[int, bool] = {}
         for gain in reversed(self.keys[a]):
-            best = None
-            for u in side[gain]:
-                if best is None or u < best:
-                    ok = memo.get(weight[u])
-                    if ok is None:
-                        ok = memo[weight[u]] = self.admissible(a, weight[u])
-                    if ok:
-                        best = u
-            if best is not None:
-                return gain, best
+            movable = [u for u in side[gain] if weight[u] <= limit]
+            if movable:
+                return gain, min(movable)
         return None
 
     def select(self) -> Optional[int]:

@@ -5,8 +5,11 @@ move and selects moves the plain way: it walks the distinct gains in
 descending order and, per gain and side, scans for the lowest-id
 admissible vertex. The engine in ``hypart.refine`` keeps incremental
 gains, per-side buckets and an ascending list of each side's bucket
-gains, and rejects a blocked side at once; it must make exactly the
-same moves.
+gains, and compares each vertex weight against one integer limit per
+side, which rejects a blocked side at once; it must make exactly the
+same moves. :func:`weight_admissible` is the per-weight admissibility
+rule, float soft bounds included, that each side's limit must
+reproduce for every weight.
 
 The fuzzed hypergraphs are small, so the fuzz draws the early-exit
 window of ``fm-ee`` passes from (1, 3, 50) by setting
@@ -79,6 +82,23 @@ def reference_admissible(h, window, assignment, part_weight, v):
     if lo_soft - 1e-9 <= w0_after <= hi_soft + 1e-9:
         return True
     return window.violation(w0_after) < window.violation(w0) - 1e-12
+
+
+def weight_admissible(h, window, part_weight, side, weight):
+    """Whether a vertex of ``weight`` may move off ``side``: the part-0
+    weight after the move lies in the window widened by one maximum
+    vertex weight, or its violation is lower than now, and the side does
+    not empty."""
+    if part_weight[side] <= weight:
+        return False
+    wmax = max(h.vertex_weight)
+    lo_soft = min(window.lower, window.target - wmax)
+    hi_soft = max(window.upper, window.target + wmax)
+    w0 = part_weight[0]
+    w0_after = w0 - weight if side == 0 else w0 + weight
+    if lo_soft <= w0_after <= hi_soft:
+        return True
+    return window.violation(w0_after) < window.violation(w0)
 
 
 def reference_select(h, window, assignment, part_weight, candidates):
@@ -210,7 +230,7 @@ def random_window(rng, total):
     lower = rng.randint(1, max(1, total - 1))
     upper = min(total, lower + rng.randint(0, max(1, total // 4)))
     target = rng.uniform(lower, upper)
-    return BalanceWindow(float(lower), float(upper), target)
+    return BalanceWindow(lower, upper, target)
 
 
 def random_start(rng, h):
@@ -288,6 +308,32 @@ class TestDifferentialFmDense(TestDifferentialFm):
     dense = True
 
 
+class TestSelectionCases:
+    @pytest.mark.parametrize("dense", (False, True))
+    def test_fuzz_reaches_every_case(self, monkeypatch, dense):
+        # The differential fuzz must reach each way a side is settled: its
+        # top bucket, a blocked side and the bucket walk.
+        monkeypatch.setattr(model, "is_dense", lambda h: dense)
+        outcomes = {"top": 0, "blocked": 0, "walk": 0}
+        side_best = _FmState._side_best
+
+        def counted(state, a):
+            if state.buckets[a]:
+                limit = state.limit(a)
+                case = ("top" if limit >= state.wmax
+                        else "blocked" if limit < state.wmin else "walk")
+                outcomes[case] += 1
+            return side_best(state, a)
+
+        monkeypatch.setattr(_FmState, "_side_best", counted)
+        for cases in (fuzz_cases(101, 300), fuzz_cases(202, 150)):
+            for _, h, window, mode, exit_window, start in cases:
+                monkeypatch.setattr(refine, "EARLY_EXIT_WINDOW", exit_window)
+                fm_pass(h, Partition.from_assignment(h, 2, start), mode, window=window)
+                assert (model.dense_tables(h) is not None) == dense
+        assert min(outcomes.values()) > 0, outcomes
+
+
 class TestRecount:
     def test_matches_scalar_recount(self):
         # The audit compares the incremental state with _recount, so
@@ -313,23 +359,35 @@ class TestRecount:
 
 
 class TestAdmissibility:
-    def test_monotone_in_vertex_weight(self):
-        # A lighter vertex on the same side is admissible whenever a
-        # heavier one is; selection relies on it to reject a side at once.
+    def test_limit_matches_per_weight_rule(self):
+        # For every weight on both sides, a vertex may move exactly when
+        # it is within the side's integer limit: at the start of a pass
+        # and after each of a few moves, so unbalanced states with v > 0
+        # are covered on both ends of the window.
+        unbalanced = 0
         for _, h, window, mode, _, start in fuzz_cases(303, 300):
             p = Partition.from_assignment(h, 2, start)
             state = _FmState(h, p, window, boundary_only=(mode == "bfm"))
-            for side in (0, 1):
-                verdicts = [state.admissible(side, w)
-                            for w in range(1, h.total_vertex_weight + 1)]
-                assert verdicts == sorted(verdicts, reverse=True)
+            for _ in range(4):
+                unbalanced += state.violation > 0
+                for side in (0, 1):
+                    limit = state.limit(side)
+                    assert type(limit) is int
+                    verdicts = [w <= limit for w in range(1, h.total_vertex_weight + 1)]
+                    assert verdicts == [weight_admissible(h, window, p.part_weight, side, w)
+                                        for w in range(1, h.total_vertex_weight + 1)]
+                v = state.select()
+                if v is None:
+                    break
+                state.apply_move(v)
+        assert unbalanced > 100
 
     def test_matches_reference_per_vertex(self):
         for _, h, window, _, _, start in fuzz_cases(404, 100):
             p = Partition.from_assignment(h, 2, start)
             state = _FmState(h, p, window, boundary_only=False)
             for v in range(h.num_vertices):
-                assert (state.admissible(p.assignment[v], h.vertex_weight[v])
+                assert ((h.vertex_weight[v] <= state.limit(p.assignment[v]))
                         == reference_admissible(h, window, p.assignment, p.part_weight, v))
 
     def test_empty_window_rejected(self, path4):
