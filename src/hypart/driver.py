@@ -90,15 +90,16 @@ def _cluster_level(h: Hypergraph, ts: Optional[ThresholdState],
     is None), vertex cores and the number of hyperedge clusters with two
     or more hyperedges of one coarsening level.
 
-    Cores use clustering threshold 0 with unit clusters dropped, so only
-    the counted clusters give signature bits.
+    Those counted clusters are the ones that make up the cores'
+    signatures (:func:`~hypart.roughset.extract_cores`). Core extraction
+    is timed in the ``matching`` phase.
     """
     with timer.phase("hcg"):
         if ts is None:
             ts = initial_threshold(h)
         ep = build_edge_partitions(h, ts.s)
     with timer.phase("matching"):
-        cores = extract_cores(h, ep, 0.0, drop_unit_clusters=True)
+        cores = extract_cores(h, ep)
         multi = len(ep.clusters) - list(map(len, ep.clusters)).count(1)
     return ts, cores, multi
 

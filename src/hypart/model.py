@@ -101,7 +101,8 @@ class Hypergraph:
         self._cache: dict = {}
 
     def num_pins(self) -> int:
-        return sum(len(p) for p in self.pins_by_hyperedge)
+        """Total length of the pin lists, counted on first use and kept."""
+        return cached(self, "num_pins", lambda: sum(map(len, self.pins_by_hyperedge)))
 
     def avg_degree(self) -> float:
         if self.num_vertices == 0:

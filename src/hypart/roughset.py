@@ -4,19 +4,23 @@ The coarsening stage treats hyperedges as features of the vertices. A
 similarity graph over the hyperedges (two hyperedges are adjacent when
 their scaled Jaccard similarity reaches a threshold ``s``) splits the
 hyperedge set into disjoint clusters, the connected components of that
-graph. Counting, per vertex, how many incident hyperedges fall into each
-cluster and binarising those counts against a clustering threshold ``c``
-yields a signature per vertex. Vertices sharing an identical nonzero
-signature form a core; vertices whose signature is all zero are
-non-core. Cores group vertices by global structure and are searched
-first when looking for contraction pairs.
+graph. A vertex's signature is the set of clusters of two or more
+hyperedges that hold one of its hyperedges. Vertices sharing an
+identical nonempty signature form a core; vertices with an empty
+signature are non-core. Cores group vertices by global structure and
+are searched first when looking for contraction pairs.
+
+The paper's general rule, which binarises each vertex's per-cluster
+share of its hyperedges against a clustering threshold, is kept in
+``tests/reference.py`` as the oracle ``reference_cores``. The rule here
+is its case of threshold 0 with unit clusters dropped.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .model import Hypergraph
 
@@ -37,10 +41,11 @@ class CoreDecomposition(NamedTuple):
     """Disjoint vertex cores plus singleton and non-core lists.
 
     ``cores`` holds groups of two or more vertices with identical
-    nonzero signatures; ``singleton_cores`` holds vertices whose nonzero
-    signature is unique (they cannot be pair-matched inside a core and
-    behave like non-core vertices during matching); ``non_core`` holds
-    vertices with an all-zero signature, including isolated vertices.
+    nonempty signatures; ``singleton_cores`` holds vertices whose
+    nonempty signature is unique (they cannot be pair-matched inside a
+    core and behave like non-core vertices during matching);
+    ``non_core`` holds vertices with an empty signature, including
+    isolated vertices.
     """
 
     cores: List[List[int]]
@@ -276,52 +281,39 @@ def _lightest_partner(w_e: int, scale_den: float, s: float) -> int:
     return w
 
 
-def extract_cores(h: Hypergraph, ep: EdgePartitioning, c: float,
-                  drop_unit_clusters: bool = False) -> CoreDecomposition:
-    """Group vertices by identical binary cluster signatures.
+def extract_cores(h: Hypergraph, ep: EdgePartitioning) -> CoreDecomposition:
+    """Group vertices by identical cluster signatures.
 
-    The signature bit of vertex ``v`` for a cluster is set when the
-    vertex has at least one incident hyperedge in the cluster and the
-    fraction of its incident hyperedges falling into that cluster is at
-    least ``c``. Requiring a positive count means that at ``c == 0`` a
-    bit reads "any incidence" instead of marking every cluster.
+    The signature of vertex ``v`` is the ascending list of the clusters
+    that hold two or more hyperedges, one of them incident to ``v``.
+    Only the members of those clusters are visited, in ascending cluster
+    id, so each pin's list comes out sorted. A vertex with an empty
+    signature (isolated, or all of whose hyperedges are unit clusters)
+    is non-core.
 
-    With ``drop_unit_clusters`` set, clusters containing a single
-    hyperedge contribute no signature bits; combined with ``c == 0``
-    this is the default thresholding strategy of the driver.
-
-    Vertices of degree zero go straight to the non-core list. Grouping
-    is order independent.
+    Cores are listed in order of their smallest vertex and each is
+    ascending, as are ``singleton_cores`` and ``non_core``.
     """
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"clustering threshold must lie in [0, 1], got {c}")
-    active = [True] * len(ep.clusters)
-    if drop_unit_clusters:
-        for c_id, members in enumerate(ep.clusters):
-            if len(members) < 2:
-                active[c_id] = False
+    signature: List[Optional[List[int]]] = [None] * h.num_vertices
+    by_edge = h.pins_by_hyperedge
+    for c_id, members in enumerate(ep.clusters):
+        if len(members) < 2:
+            continue
+        for e in members:
+            for v in by_edge[e]:
+                sig = signature[v]
+                if sig is None:
+                    signature[v] = [c_id]
+                elif sig[-1] != c_id:
+                    sig.append(c_id)
 
-    cluster_of = ep.cluster_of
     groups: dict[Tuple[int, ...], List[int]] = {}
     non_core: List[int] = []
-    for v in range(h.num_vertices):
-        incident = h.pins_by_vertex[v]
-        d = len(incident)
-        if d == 0:
-            non_core.append(v)
-            continue
-        counts: dict[int, int] = {}
-        for e in incident:
-            c_id = cluster_of[e]
-            counts[c_id] = counts.get(c_id, 0) + 1
-        bits = tuple(sorted(
-            c_id for c_id, cnt in counts.items()
-            if active[c_id] and cnt / d >= c
-        ))
-        if not bits:
+    for v, sig in enumerate(signature):
+        if sig is None:
             non_core.append(v)
         else:
-            groups.setdefault(bits, []).append(v)
+            groups.setdefault(tuple(sig), []).append(v)
 
     cores = [members for members in groups.values() if len(members) >= 2]
     singletons = [members[0] for members in groups.values() if len(members) == 1]

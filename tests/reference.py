@@ -13,9 +13,10 @@ first call.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple
+from typing import List, NamedTuple, Tuple
 
-from hypart import EdgePartitioning, Hypergraph, InfeasibleBalanceError, Partition
+from hypart import (CoreDecomposition, EdgePartitioning, Hypergraph,
+                    InfeasibleBalanceError, Partition)
 
 MAX_VERTICES = 20
 
@@ -94,6 +95,45 @@ def reduced_value(h: Hypergraph, ep: EdgePartitioning, v: int, c_id: int) -> int
     """Number of hyperedges of cluster ``c_id`` incident to vertex ``v``."""
     cluster_of = ep.cluster_of
     return sum(1 for e in h.pins_by_vertex[v] if cluster_of[e] == c_id)
+
+
+def reference_cores(h: Hypergraph, ep: EdgePartitioning, c: float,
+                    drop_unit_clusters: bool = False) -> CoreDecomposition:
+    """Cores under the paper's general signature rule.
+
+    The signature bit of vertex ``v`` for a cluster is set when the
+    vertex has at least one incident hyperedge in the cluster and the
+    fraction of its incident hyperedges falling into that cluster is at
+    least ``c``. Requiring a positive count means that at ``c == 0`` a
+    bit reads "any incidence" instead of marking every cluster. With
+    ``drop_unit_clusters`` set, clusters containing a single hyperedge
+    contribute no signature bits. At ``c == 0`` with unit clusters
+    dropped this is the rule of :func:`hypart.extract_cores`, and the
+    lists come out in the same order: cores by smallest vertex, every
+    list ascending.
+    """
+    if not 0.0 <= c <= 1.0:
+        raise ValueError(f"clustering threshold must lie in [0, 1], got {c}")
+    active = [not (drop_unit_clusters and len(members) < 2) for members in ep.clusters]
+    cluster_of = ep.cluster_of
+    groups: dict[Tuple[int, ...], List[int]] = {}
+    non_core: List[int] = []
+    for v in range(h.num_vertices):
+        incident = h.pins_by_vertex[v]
+        d = len(incident)
+        counts: dict[int, int] = {}
+        for e in incident:
+            c_id = cluster_of[e]
+            counts[c_id] = counts.get(c_id, 0) + 1
+        bits = tuple(sorted(c_id for c_id, cnt in counts.items()
+                            if active[c_id] and cnt / d >= c))
+        if bits:
+            groups.setdefault(bits, []).append(v)
+        else:
+            non_core.append(v)
+    cores = [members for members in groups.values() if len(members) >= 2]
+    singletons = [members[0] for members in groups.values() if len(members) == 1]
+    return CoreDecomposition(cores, singletons, non_core)
 
 
 def weighted_jaccard(h: Hypergraph, u: int, v: int) -> float:

@@ -6,13 +6,13 @@ import pytest
 
 from hypart import (Hypergraph, Matching, Partition, ThresholdState,
                     build_edge_partitions, cc_edge, cc_hypergraph, contract,
-                    extract_cores, initial_threshold, match_in_cores,
-                    match_noncore, update_threshold)
+                    initial_threshold, match_in_cores, match_noncore,
+                    update_threshold)
 from hypart.roughset import CoreDecomposition
 
 from conftest import (FixedOrderRng, make_path4, naive_cost, random_hypergraph,
                       random_weighted_hypergraph)
-from reference import degree, edge_size, weighted_jaccard
+from reference import degree, edge_size, reference_cores, weighted_jaccard
 
 
 class TestWeightedJaccard:
@@ -48,7 +48,9 @@ class TestWeightedJaccard:
 
 
 def cores_of(h, s=0.5, c=0.5):
-    return extract_cores(h, build_edge_partitions(h, s), c)
+    """Cores of ``h`` under the paper's general rule at thresholds ``s``
+    and ``c``, which give more varied cores than the driver's rule."""
+    return reference_cores(h, build_edge_partitions(h, s), c)
 
 
 class TestMatchInCores:

@@ -11,7 +11,8 @@ from hypart import roughset
 from conftest import (SAMPLE16_CLUSTERS, SAMPLE16_CORES, SAMPLE16_NON_CORE,
                       SAMPLE16_SINGLETONS, random_hypergraph,
                       random_weighted_hypergraph)
-from reference import degree, hyperedge_similarity, info_value, reduced_value
+from reference import (degree, hyperedge_similarity, info_value, reduced_value,
+                       reference_cores)
 
 
 class TestInfoValue:
@@ -162,9 +163,13 @@ class TestReducedValue:
 
 
 class TestExtractCores:
+    """The paper's general rule, held by the oracle ``reference_cores``,
+    on small cases. Cases whose assertions hold for the driver's rule
+    check ``extract_cores`` too."""
+
     def test_sample16_cores(self, sample16):
         ep = build_edge_partitions(sample16, 0.5)
-        cores = extract_cores(sample16, ep, 0.5)
+        cores = reference_cores(sample16, ep, 0.5)
         assert {frozenset(c) for c in cores.cores} == set(SAMPLE16_CORES)
         assert set(cores.singleton_cores) == SAMPLE16_SINGLETONS
         assert set(cores.non_core) == SAMPLE16_NON_CORE
@@ -173,7 +178,7 @@ class TestExtractCores:
         # Dropping the two single-hyperedge clusters before extraction
         # leaves every multi-vertex core unchanged.
         ep = build_edge_partitions(sample16, 0.5)
-        cores = extract_cores(sample16, ep, 0.5, drop_unit_clusters=True)
+        cores = reference_cores(sample16, ep, 0.5, drop_unit_clusters=True)
         assert {frozenset(c) for c in cores.cores} == set(SAMPLE16_CORES)
 
     def test_even_split_at_full_threshold(self):
@@ -182,22 +187,22 @@ class TestExtractCores:
         h = Hypergraph(4, [[0, 1], [0, 1], [2, 3], [2, 3],
                            [0, 2], [0, 2]])
         ep = build_edge_partitions(h, 0.9)
-        cores = extract_cores(h, ep, 1.0)
+        cores = reference_cores(h, ep, 1.0)
         assert 0 in cores.non_core
 
     def test_single_cluster_any_incidence(self):
         h = Hypergraph(5, [[0, 1], [1, 2], [2, 3]])
         ep = build_edge_partitions(h, 0.05)
         if len(ep.clusters) == 1:
-            cores = extract_cores(h, ep, 0.0)
-            assert {frozenset(c) for c in cores.cores} == {frozenset({0, 1, 2, 3})}
-            assert cores.non_core == [4]
+            for cores in (reference_cores(h, ep, 0.0), extract_cores(h, ep)):
+                assert {frozenset(c) for c in cores.cores} == {frozenset({0, 1, 2, 3})}
+                assert cores.non_core == [4]
 
     def test_zero_degree_vertices_are_non_core(self):
         h = Hypergraph(3, [[0, 1]])
         ep = build_edge_partitions(h, 0.5)
-        cores = extract_cores(h, ep, 0.5)
-        assert 2 in cores.non_core
+        for cores in (reference_cores(h, ep, 0.5), extract_cores(h, ep)):
+            assert 2 in cores.non_core
 
     def test_partition_of_vertex_set(self):
         rng = random.Random(61)
@@ -206,19 +211,21 @@ class TestExtractCores:
             if h.num_hyperedges == 0:
                 continue
             ep = build_edge_partitions(h, 0.4)
-            cores = extract_cores(h, ep, 0.5)
-            seen = []
-            for core in cores.cores:
-                assert len(core) >= 2
-                seen.extend(core)
-            seen.extend(cores.singleton_cores)
-            seen.extend(cores.non_core)
-            assert sorted(seen) == list(range(h.num_vertices))
+            for cores in (reference_cores(h, ep, 0.5), extract_cores(h, ep)):
+                seen = []
+                for core in cores.cores:
+                    assert len(core) >= 2
+                    seen.extend(core)
+                seen.extend(cores.singleton_cores)
+                seen.extend(cores.non_core)
+                assert sorted(seen) == list(range(h.num_vertices))
 
     def test_invalid_threshold(self, sample16):
         ep = build_edge_partitions(sample16, 0.5)
         with pytest.raises(ValueError):
-            extract_cores(sample16, ep, 1.5)
+            reference_cores(sample16, ep, 1.5)
+        with pytest.raises(ValueError):
+            reference_cores(sample16, ep, -0.5)
 
 
 def reference_clusters(h, s):
@@ -432,13 +439,28 @@ class TestClusteringOracle:
         assert (giant > 0) == (s < 0.5)
 
     def test_cores_group_reference_signatures(self):
+        # The oracle's general rule, at a random threshold with and
+        # without unit clusters, groups the per-vertex signatures; the
+        # driver's rule returns the oracle's lists at threshold 0 with
+        # unit clusters dropped, in the same order.
         rng = random.Random(73)
+        isolated = unit_only = no_multi = 0
         for trial in range(300):
             h = random_weighted_hypergraph(rng)
-            ep = build_edge_partitions(h, rng.choice(self.SIMILARITIES))
+            s = rng.choice(self.SIMILARITIES)
+            ep = build_edge_partitions(h, s)
+            assert extract_cores(h, ep) == reference_cores(h, ep, 0.0, True), \
+                f"trial {trial}"
+            unit = [len(ep.clusters[ep.cluster_of[e]]) == 1
+                    for e in range(h.num_hyperedges)]
+            isolated += any(degree(h, v) == 0 for v in range(h.num_vertices))
+            unit_only += s == 0.9 and any(
+                incident and all(unit[e] for e in incident)
+                for incident in h.pins_by_vertex)
+            no_multi += all(unit)
             c = rng.choice(self.SHARES)
             drop = rng.random() < 0.5
-            cores = extract_cores(h, ep, c, drop_unit_clusters=drop)
+            cores = reference_cores(h, ep, c, drop_unit_clusters=drop)
             groups = {}
             non_core = set()
             for v in range(h.num_vertices):
@@ -453,3 +475,6 @@ class TestClusteringOracle:
             assert set(cores.singleton_cores) == \
                 {v for g in groups.values() if len(g) == 1 for v in g}, f"trial {trial}"
             assert set(cores.non_core) == non_core, f"trial {trial}"
+        # The draws reach isolated vertices, vertices that see only unit
+        # clusters at s = 0.9, and levels without a multi-hyperedge cluster.
+        assert isolated and unit_only and no_multi, (isolated, unit_only, no_multi)
