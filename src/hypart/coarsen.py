@@ -58,13 +58,6 @@ class LevelLink(NamedTuple):
     coarse_id: List[int]
 
 
-class ThresholdState(NamedTuple):
-    """Similarity threshold plus the average degree it was tuned for."""
-
-    s: float
-    avg_degree: float
-
-
 def _best_mate(h: Hypergraph, u: int, free: set,
                incident_weight: List[int]) -> Optional[int]:
     """Vertex of ``free`` with maximum weighted Jaccard to ``u``.
@@ -228,17 +221,17 @@ def _clamp(s: float) -> float:
     return min(max(s, lo), hi)
 
 
-def initial_threshold(h: Hypergraph) -> ThresholdState:
+def initial_threshold(h: Hypergraph) -> float:
     """Seed the similarity threshold with the hypergraph's CC, clamped."""
-    return ThresholdState(_clamp(cc_hypergraph(h)), h.avg_degree())
+    return _clamp(cc_hypergraph(h))
 
 
-def update_threshold(ts: ThresholdState, new_avg_degree: float) -> ThresholdState:
-    """Rescale the threshold by the inverse change of the average degree.
+def update_threshold(s: float, old_degree: float, new_degree: float) -> float:
+    """Rescale the threshold ``s`` by the inverse change of the average degree.
 
     The threshold follows s' = s * (old degree / new degree), clamped to
     the working range; unchanged degrees leave it untouched.
     """
-    if ts.avg_degree <= 0 or new_avg_degree <= 0:
+    if old_degree <= 0 or new_degree <= 0:
         raise ValueError("average degrees must be positive")
-    return ThresholdState(_clamp(ts.s * ts.avg_degree / new_avg_degree), new_avg_degree)
+    return _clamp(s * old_degree / new_degree)

@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .coarsen import (LevelLink, contract, initial_threshold, match_in_cores,
-                      match_noncore, update_threshold, ThresholdState)
+                      match_noncore, update_threshold)
 from .initpart import INIT_METHODS, generate_candidate, select_best
 from .model import (BalanceWindow, Hypergraph, InfeasibleBalanceError,
                     Partition, cached, dense_tables, derive_hypergraph,
@@ -84,48 +84,61 @@ class PhaseTimer:
             self.times[name] += time.perf_counter() - start
 
 
-def _cluster_level(h: Hypergraph, ts: Optional[ThresholdState],
-                   timer: PhaseTimer) -> Tuple[ThresholdState, CoreDecomposition, int]:
-    """Threshold state (seeded from the clustering coefficient when ``ts``
-    is None), vertex cores and the number of hyperedge clusters with two
-    or more hyperedges of one coarsening level.
+class _Level(NamedTuple):
+    """One coarsening level: its link to the next level, the similarity
+    threshold its hyperedges were clustered at, and its number of
+    hyperedge clusters with two or more hyperedges."""
 
-    Those counted clusters are the ones that make up the cores'
+    link: LevelLink
+    s: float
+    clusters: int
+
+
+def _cluster_level(h: Hypergraph, last: Optional[_Level],
+                   timer: PhaseTimer) -> Tuple[float, CoreDecomposition, int]:
+    """Similarity threshold, vertex cores and the number of hyperedge
+    clusters with two or more hyperedges of the coarsening level ``h``.
+
+    The threshold is seeded from the clustering coefficient when ``h``
+    opens the V-cycle (``last`` is None), and otherwise rescales the
+    threshold of the finer level ``last`` by the change in average
+    degree. The counted clusters are the ones that make up the cores'
     signatures (:func:`~hypart.roughset.extract_cores`). Core extraction
     is timed in the ``matching`` phase.
     """
     with timer.phase("hcg"):
-        if ts is None:
-            ts = initial_threshold(h)
-        ep = build_edge_partitions(h, ts.s)
+        if last is None:
+            s = initial_threshold(h)
+        else:
+            s = update_threshold(last.s, last.link.fine.avg_degree(), h.avg_degree())
+        ep = build_edge_partitions(h, s)
     with timer.phase("matching"):
         cores = extract_cores(h, ep)
         multi = len(ep.clusters) - list(map(len, ep.clusters)).count(1)
-    return ts, cores, multi
+    return s, cores, multi
 
 
 def _bipartition_window(h: Hypergraph, rng: random.Random, window: BalanceWindow,
                         timer: PhaseTimer) -> Tuple[Partition, dict]:
     """One full V-cycle on ``h`` targeting the given balance window.
 
-    The opening level (threshold seed, cores and cluster count of ``h``)
-    depends only on ``h``, so it is kept on ``h`` and computed once,
-    inside the timers of the first V-cycle that needs it. Raises
+    Coarsening appends one :class:`_Level` record per contracted level,
+    and the bisection record and the uncoarsening walk read those
+    records. The opening level (threshold seed, cores and cluster count
+    of ``h``) depends only on ``h``, so it is kept on ``h`` and computed
+    once, inside the timers of the first V-cycle that needs it. Raises
     :class:`InfeasibleBalanceError` when the refined partition of ``h``
     ends outside the window.
     """
-    levels: List[LevelLink] = []
-    thresholds: List[float] = []
-    multi_clusters: List[int] = []
+    levels: List[_Level] = []
     current = h
-    ts: Optional[ThresholdState] = None
 
     while current.num_vertices > COARSEST_SIZE and current.num_hyperedges > 0:
-        if ts is None:
-            ts, cores, multi = cached(current, "opening_level",
-                                      lambda: _cluster_level(current, None, timer))
+        if levels:
+            s, cores, clusters = _cluster_level(current, levels[-1], timer)
         else:
-            ts, cores, multi = _cluster_level(current, ts, timer)
+            s, cores, clusters = cached(current, "opening_level",
+                                        lambda: _cluster_level(current, None, timer))
         with timer.phase("matching"):
             mate, leftovers = match_in_cores(current, cores, rng)
             matching = match_noncore(current, mate, leftovers, rng)
@@ -134,16 +147,10 @@ def _bipartition_window(h: Hypergraph, rng: random.Random, window: BalanceWindow
         with timer.phase("coarsening"):
             link = contract(current, matching)
         ratio = current.num_vertices / link.coarse.num_vertices
-        levels.append(link)
-        thresholds.append(ts.s)
-        multi_clusters.append(multi)
+        levels.append(_Level(link, s, clusters))
         current = link.coarse
         if ratio < STAGNATION_RATIO:
             break
-        with timer.phase("hcg"):
-            new_degree = current.avg_degree()
-            if new_degree > 0:
-                ts = update_threshold(ts, new_degree)
 
     with timer.phase("initpart"):
         candidates = []
@@ -157,7 +164,7 @@ def _bipartition_window(h: Hypergraph, rng: random.Random, window: BalanceWindow
         _refine_level(current, p, window, level_pos=len(levels))
 
     for pos in range(len(levels) - 1, -1, -1):
-        link = levels[pos]
+        link = levels[pos].link
         with timer.phase("projection"):
             p = project(p, link)
         with timer.phase("refinement"):
@@ -168,10 +175,12 @@ def _bipartition_window(h: Hypergraph, rng: random.Random, window: BalanceWindow
             f"no balanced bipartition found (part weights {p.part_weight})")
 
     dense_levels = (dense_tables(current) is not None) + sum(
-        dense_tables(link.fine) is not None for link in levels)
+        dense_tables(level.link.fine) is not None for level in levels)
     info = {"levels": len(levels), "window": [window.lower, window.upper],
-            "r": [link.fine.num_vertices / link.coarse.num_vertices for link in levels],
-            "s": thresholds, "clusters": multi_clusters,
+            "r": [level.link.fine.num_vertices / level.link.coarse.num_vertices
+                  for level in levels],
+            "s": [level.s for level in levels],
+            "clusters": [level.clusters for level in levels],
             "cost": partition_cost(h, p),
             "coarsest": {"vertices": current.num_vertices,
                          "hyperedges": current.num_hyperedges,

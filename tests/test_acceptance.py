@@ -15,8 +15,8 @@ import time
 import pytest
 
 from hypart import (Hypergraph, PartitionConfig, PHASE_KEYS, Partition,
-                    ThresholdState, bipartition, build_edge_partitions,
-                    cc_edge, cc_hypergraph, contract, extract_cores, fm_pass,
+                    bipartition, build_edge_partitions, cc_edge,
+                    cc_hypergraph, contract, extract_cores, fm_pass,
                     match_in_cores, match_noncore, max_imbalance,
                     partition_cost, partition_kway, project,
                     update_threshold, BalanceWindow)
@@ -262,10 +262,9 @@ class TestCriterion5ThresholdBehaviour:
 
         # Threshold updates: identity without degree change, clamps at
         # the ends of the working range.
-        ts = ThresholdState(0.4, 3.0)
-        assert update_threshold(ts, 3.0).s == pytest.approx(0.4)
-        assert update_threshold(ThresholdState(0.9, 2.0), 1.0).s == pytest.approx(0.95)
-        assert update_threshold(ThresholdState(0.06, 1.0), 5.0).s == pytest.approx(0.05)
+        assert update_threshold(0.4, 3.0, 3.0) == pytest.approx(0.4)
+        assert update_threshold(0.9, 2.0, 1.0) == pytest.approx(0.95)
+        assert update_threshold(0.06, 1.0, 5.0) == pytest.approx(0.05)
         report(5, "threshold behaviour")
 
 

@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from hypart import (Hypergraph, Matching, Partition, ThresholdState,
-                    build_edge_partitions, cc_edge, cc_hypergraph, contract,
-                    initial_threshold, match_in_cores, match_noncore,
-                    update_threshold)
+from hypart import (Hypergraph, Matching, Partition, build_edge_partitions,
+                    cc_edge, cc_hypergraph, contract, initial_threshold,
+                    match_in_cores, match_noncore, update_threshold)
 from hypart.roughset import CoreDecomposition
 
 from conftest import (FixedOrderRng, make_path4, naive_cost, random_hypergraph,
@@ -442,26 +441,21 @@ class TestClusteringCoefficient:
 
 class TestThresholdUpdates:
     def test_identity_when_degree_unchanged(self):
-        ts = ThresholdState(0.4, 3.0)
-        assert update_threshold(ts, 3.0).s == pytest.approx(0.4)
+        assert update_threshold(0.4, 3.0, 3.0) == pytest.approx(0.4)
 
     def test_inverse_degree_rule(self):
-        ts = ThresholdState(0.4, 3.0)
-        assert update_threshold(ts, 6.0).s == pytest.approx(0.2)
+        assert update_threshold(0.4, 3.0, 6.0) == pytest.approx(0.2)
 
     def test_clamped_high(self):
-        ts = ThresholdState(0.9, 2.0)
-        assert update_threshold(ts, 1.0).s == pytest.approx(0.95)
+        assert update_threshold(0.9, 2.0, 1.0) == pytest.approx(0.95)
 
     def test_clamped_low(self):
-        ts = ThresholdState(0.06, 1.0)
-        assert update_threshold(ts, 5.0).s == pytest.approx(0.05)
+        assert update_threshold(0.06, 1.0, 5.0) == pytest.approx(0.05)
 
     def test_non_positive_degree_rejected(self):
-        ts = ThresholdState(0.4, 3.0)
         with pytest.raises(ValueError):
-            update_threshold(ts, 0.0)
+            update_threshold(0.4, 3.0, 0.0)
 
     def test_initial_threshold_clamps(self):
         h = Hypergraph(3, [[0], [1], [2]])   # CC is 0, clamps to 0.05
-        assert initial_threshold(h).s == pytest.approx(0.05)
+        assert initial_threshold(h) == pytest.approx(0.05)

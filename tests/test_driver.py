@@ -7,7 +7,8 @@ import pytest
 
 from hypart import (BalanceWindow, Hypergraph, InfeasibleBalanceError,
                     PartitionConfig, PHASE_KEYS, bipartition, induce_subhypergraph,
-                    max_imbalance, partition_cost, partition_kway, run_many)
+                    initial_threshold, max_imbalance, partition_cost,
+                    partition_kway, run_many, update_threshold)
 from hypart.driver import std_dev_percent
 from hypart.model import part_interval
 
@@ -197,25 +198,65 @@ class TestPartitionKway:
         assert record["coarsest"]["vertices"] <= 100
 
     def test_bisection_record_counts_multi_hyperedge_clusters(self, monkeypatch):
-        # One count per coarsening level: the clusters of two or more
-        # hyperedges, the ones that give signature bits.
+        # One count, threshold and compression ratio per coarsening level:
+        # the clusters of two or more hyperedges (the ones that give
+        # signature bits), the threshold the level was clustered at (the
+        # CC seed, then rescaled by the change in average degree) and fine
+        # over coarse vertices.
         import hypart.driver as drv
 
-        counts = []
-        original = drv.build_edge_partitions
+        counts, clustered, links = [], [], []
+        original_build, original_contract = drv.build_edge_partitions, drv.contract
 
         def counting(h, s):
-            ep = original(h, s)
+            ep = original_build(h, s)
             counts.append(sum(len(members) > 1 for members in ep.clusters))
+            clustered.append((h, s))
             return ep
 
+        def linking(h, m):
+            links.append(original_contract(h, m))
+            return links[-1]
+
         monkeypatch.setattr(drv, "build_edge_partitions", counting)
+        monkeypatch.setattr(drv, "contract", linking)
         rng = random.Random(7)
         h = Hypergraph(300, [rng.sample(range(300), 5) for _ in range(1500)])
         _, record = bipartition(h, PartitionConfig(epsilon=0.05, seed=2))
-        assert record["levels"] > 0
-        assert record["clusters"] == counts[:record["levels"]]
+        levels = record["levels"]
+        assert levels > 1 and len(links) == levels
+        assert record["clusters"] == counts[:levels]
         assert any(record["clusters"])
+
+        graphs = [g for g, _ in clustered]
+        s = [value for _, value in clustered]
+        assert levels <= len(graphs) <= levels + 1
+        assert all(g is want for g, want in zip(graphs, [h] + [link.coarse for link in links]))
+        assert record["s"] == s[:levels]
+        assert s[0] == initial_threshold(h)
+        for i in range(1, len(s)):
+            assert s[i] == update_threshold(s[i - 1], graphs[i - 1].avg_degree(),
+                                            graphs[i].avg_degree())
+        assert record["r"] == [link.fine.num_vertices / link.coarse.num_vertices
+                               for link in links]
+
+    @pytest.mark.parametrize("pins, cost", [
+        ([[]] * 3, 0),
+        ([[]] * 3 + [[i, (i + 1) % 300] for i in range(300)], 4),
+        ([[i, (i + 1) % 300] for i in range(300)] + [[]] * 3, 4),
+        ([[2 * i, 2 * i + 1] for i in range(150)], 0),
+    ], ids=["only-empty", "empty-first", "empty-last", "pairs"])
+    def test_levels_of_average_degree_zero(self, pins, cost):
+        # validate accepts empty hyperedges (the Matrix Market reader
+        # drops them). Only the input level keeps them: contraction drops
+        # every hyperedge of fewer than two pins, so each rescaled level
+        # has positive average degree, and so does the level it follows.
+        # Disjoint pairs contract to a level of over 100 vertices and no
+        # hyperedge, where coarsening stops before any rescaling.
+        h = Hypergraph(300, pins)
+        p, stats = partition_kway(h, PartitionConfig(k=4, epsilon=0.05, seed=1))
+        assert stats.cost == cost == partition_cost(h, p)
+        assert max_imbalance(h, p) <= 0.05
 
 
 def reference_quota_interval(k, avg_part, epsilon):
@@ -385,7 +426,7 @@ class TestRunMany:
 
 
 class TestSharedInputLevel:
-    # The input's validation and its first level's threshold state,
+    # The input's validation and its first level's threshold seed,
     # clusters and cores do not depend on the seed, so run_many does them
     # once however many runs it makes.
     CONFIGS = [
