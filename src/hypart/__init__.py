@@ -13,9 +13,8 @@ from .io import (MatrixFormatError, PartitionFormatError, read_matrix_market,
                  read_partition, write_partition, WEIGHT_SCHEMES)
 from .roughset import (CoreDecomposition, EdgePartitioning,
                        build_edge_partitions, extract_cores)
-from .coarsen import (LevelLink, Matching, cc_edge, cc_hypergraph, contract,
-                      initial_threshold, match_in_cores, match_noncore,
-                      update_threshold)
+from .coarsen import (LevelLink, Matching, contract, initial_threshold,
+                      match_in_cores, match_noncore, update_threshold)
 from .refine import FM_MODES, fm_pass, project, refine_bipartition
 from .initpart import INIT_METHODS, generate_candidate, select_best
 from .driver import (PHASE_KEYS, PartitionConfig, RunStats, bipartition,
@@ -30,8 +29,8 @@ __all__ = [
     "read_partition", "write_partition", "WEIGHT_SCHEMES",
     "CoreDecomposition", "EdgePartitioning", "build_edge_partitions",
     "extract_cores",
-    "LevelLink", "Matching", "cc_edge", "cc_hypergraph", "contract",
-    "initial_threshold", "match_in_cores", "match_noncore", "update_threshold",
+    "LevelLink", "Matching", "contract", "initial_threshold", "match_in_cores",
+    "match_noncore", "update_threshold",
     "FM_MODES", "fm_pass", "project", "refine_bipartition",
     "INIT_METHODS", "generate_candidate", "select_best",
     "PHASE_KEYS", "PartitionConfig", "RunStats", "bipartition",

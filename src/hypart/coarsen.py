@@ -5,8 +5,9 @@ then over the remaining pool until the per-level compression ratio
 (fine vertex count over coarse vertex count) reaches
 ``MIN_COMPRESSION``. Contraction merges mates, drops hyperedges that
 shrink to a single pin and fuses hyperedges with identical pin sets.
-The clustering-coefficient helpers seed and update the similarity
-threshold used to build hyperedge clusters at each level.
+The threshold functions seed the similarity threshold used to build
+hyperedge clusters from the input's clustering coefficient, in closed
+form, and rescale it at each coarser level.
 """
 
 from __future__ import annotations
@@ -173,57 +174,29 @@ def contract(h: Hypergraph, m: Matching) -> LevelLink:
     return LevelLink(h, coarse, m.coarse_id)
 
 
-def cc_edge(h: Hypergraph, e: int) -> float:
-    """Clustering coefficient of one hyperedge.
-
-    For a hyperedge of size above one: the overlap-weighted sum over all
-    other intersecting hyperedges, normalised by the total weight of the
-    other hyperedges incident to its pins (counted once per shared pin).
-    Unit-size hyperedges and hyperedges with an isolated neighbourhood
-    score 0. Both sums exclude the hyperedge itself, which makes the
-    value invariant under uniform scaling of all hyperedge weights.
-
-    The two sums differ only by the factor ``1 / (|e| - 1)``: with
-    ``cnt`` the number of pins ``e2`` shares with ``e``, the numerator
-    is ``sum(cnt / (|e| - 1) * w(e2))`` and the denominator is
-    ``sum(cnt * w(e2))``. So the value is ``1 / (|e| - 1)`` whenever a
-    pin of ``e`` lies in another hyperedge (has degree two or more), and
-    0 otherwise, which is how it is computed; the overlap structure does
-    not enter it.
-    """
-    if not 0 <= e < h.num_hyperedges:
-        raise IndexError(f"hyperedge id {e} out of range")
-    pins = h.pins_by_hyperedge[e]
-    size = len(pins)
-    if size > 1:
-        by_vertex = h.pins_by_vertex
-        for v in pins:
-            if len(by_vertex[v]) > 1:
-                return 1.0 / (size - 1)
-    return 0.0
-
-
-def cc_hypergraph(h: Hypergraph) -> float:
-    """Average clustering coefficient over all hyperedges.
-
-    By the identity in :func:`cc_edge` this is the mean of
-    ``1 / (|e| - 1)`` over the hyperedges that share a pin with another
-    one (the rest count as 0): it tracks hyperedge sizes, not how much
-    the hyperedges overlap. It costs at most one degree lookup per pin.
-    """
-    if h.num_hyperedges == 0:
-        raise ValueError("clustering coefficient undefined without hyperedges")
-    return sum(cc_edge(h, e) for e in range(h.num_hyperedges)) / h.num_hyperedges
-
-
 def _clamp(s: float) -> float:
     lo, hi = THRESHOLD_CLAMP
     return min(max(s, lo), hi)
 
 
 def initial_threshold(h: Hypergraph) -> float:
-    """Seed the similarity threshold with the hypergraph's CC, clamped."""
-    return _clamp(cc_hypergraph(h))
+    """Seed the similarity threshold: the mean of ``1 / (|e| - 1)`` over
+    all hyperedges, clamped to ``THRESHOLD_CLAMP``.
+
+    A hyperedge counts 0 when it has one pin or when none of its pins
+    lies in another hyperedge. This is the hypergraph's clustering
+    coefficient in closed form: a hyperedge's coefficient weighs each
+    other hyperedge by its shared pins over ``|e| - 1`` and normalises by
+    the same weights counted once per shared pin, so the overlap terms
+    cancel. The seed therefore tracks hyperedge sizes, not how much the
+    hyperedges overlap. Raises ValueError when ``h`` has no hyperedges.
+    """
+    m = h.num_hyperedges
+    if m == 0:
+        raise ValueError("clustering coefficient undefined without hyperedges")
+    by_vertex = h.pins_by_vertex
+    return _clamp(sum(1.0 / (len(pins) - 1) for pins in h.pins_by_hyperedge
+                      if len(pins) > 1 and any(len(by_vertex[v]) > 1 for v in pins)) / m)
 
 
 def update_threshold(s: float, old_degree: float, new_degree: float) -> float:

@@ -99,8 +99,10 @@ def _cluster_level(h: Hypergraph, last: Optional[_Level],
     """Similarity threshold, vertex cores and the number of hyperedge
     clusters with two or more hyperedges of the coarsening level ``h``.
 
-    The threshold is seeded from the clustering coefficient when ``h``
-    opens the V-cycle (``last`` is None), and otherwise rescales the
+    When ``h`` opens the V-cycle (``last`` is None), the threshold is
+    seeded by :func:`~hypart.coarsen.initial_threshold`: the clustering
+    coefficient in closed form, the mean of ``1 / (|e| - 1)`` over the
+    hyperedges that share a pin, clamped. Otherwise it rescales the
     threshold of the finer level ``last`` by the change in average
     degree. The counted clusters are the ones that make up the cores'
     signatures (:func:`~hypart.roughset.extract_cores`). Core extraction
@@ -229,11 +231,6 @@ def partition_kway(h: Hypergraph, cfg: PartitionConfig) -> Tuple[Partition, RunS
     call that needs it.
     """
     cfg.validate()
-    return _partition_run(h, cfg)
-
-
-def _partition_run(h: Hypergraph, cfg: PartitionConfig) -> Tuple[Partition, RunStats]:
-    """One seeded run of :func:`partition_kway` on ``h``."""
     timer = PhaseTimer()
     start = time.perf_counter()
     with timer.phase("build"):
@@ -311,7 +308,7 @@ def run_many(h: Hypergraph, cfg: PartitionConfig) -> dict:
     results: List[Tuple[Partition, RunStats]] = []
     for i in range(cfg.runs):
         run_cfg = cfg._replace(seed=cfg.seed + i, runs=1)
-        results.append(_partition_run(h, run_cfg))
+        results.append(partition_kway(h, run_cfg))
     costs = [stats.cost for _, stats in results]
     best_index = min(range(len(results)), key=lambda i: (costs[i], i))
     best_partition, best_stats = results[best_index]

@@ -4,7 +4,8 @@ The partitioner computes these quantities inside fused, incremental
 loops; the definitions here spell each one out directly, one pair or one
 vertex at a time, so the tests can check the fast paths against them.
 None of them is on the partitioning path, so they live with the tests
-rather than in the package.
+rather than in the package. :func:`cc_oracle_hypergraph` draws the
+random inputs the clustering-coefficient oracle is checked on.
 
 :func:`brute_force_bipartition` is the exhaustive reference
 bipartitioner. It is the only user of numpy, which it imports on its
@@ -13,6 +14,7 @@ first call.
 
 from __future__ import annotations
 
+import random
 from typing import List, NamedTuple, Tuple
 
 from hypart import (CoreDecomposition, EdgePartitioning, Hypergraph,
@@ -29,6 +31,65 @@ def degree(h: Hypergraph, v: int) -> int:
 def edge_size(h: Hypergraph, e: int) -> int:
     """Number of pins of hyperedge ``e``."""
     return len(h.pins_by_hyperedge[e])
+
+
+def reference_cc_edge(h: Hypergraph, e: int) -> float:
+    """The clustering coefficient of hyperedge ``e`` by its definition:
+    the overlap-weighted sum over the other hyperedges that share a pin
+    with ``e``, over their total weight counted once per shared pin."""
+    pins = h.pins_by_hyperedge[e]
+    size = len(pins)
+    if size <= 1:
+        return 0.0
+    weights = h.hyperedge_weight
+    overlap: dict[int, int] = {}
+    denom = 0
+    for v in pins:
+        for e2 in h.pins_by_vertex[v]:
+            if e2 == e:
+                continue
+            overlap[e2] = overlap.get(e2, 0) + 1
+            denom += weights[e2]
+    if denom == 0:
+        return 0.0
+    numer = sum((cnt / (size - 1)) * weights[e2] for e2, cnt in overlap.items())
+    return numer / denom
+
+
+def reference_cc(h: Hypergraph) -> float:
+    """Clustering coefficient of ``h``: the mean of
+    :func:`reference_cc_edge` over all hyperedges."""
+    if h.num_hyperedges == 0:
+        raise ValueError("clustering coefficient undefined without hyperedges")
+    return sum(reference_cc_edge(h, e) for e in range(h.num_hyperedges)) / h.num_hyperedges
+
+
+def reference_threshold_seed(h: Hypergraph) -> float:
+    """The similarity threshold's seed: :func:`reference_cc` clamped to
+    the working range [0.05, 0.95]."""
+    return min(max(reference_cc(h), 0.05), 0.95)
+
+
+def cc_oracle_hypergraph(rng: random.Random) -> Hypergraph:
+    """Random weighted hypergraph for the clustering-coefficient oracle:
+    unit-size and isolated hyperedges are common, and some draws add a
+    dense row (one vertex in every hyperedge of size two or more)."""
+    n = rng.randint(2, 16)
+    pins = []
+    for _ in range(rng.randint(1, 14)):
+        if rng.random() < 0.15:
+            pins.append([rng.randrange(n)])
+        else:
+            pins.append(sorted(rng.sample(range(n), rng.randint(2, min(6, n)))))
+    if rng.random() < 0.3:
+        hub = rng.randrange(n)
+        pins = [sorted(set(p) | {hub}) if len(p) > 1 else p for p in pins]
+    if rng.random() < 0.3:
+        # A hyperedge on fresh vertices shares no pin with any other.
+        pins.append([n, n + 1, n + 2][:rng.randint(1, 3)])
+        n += 3
+    weights = [rng.randint(1, 9) for _ in pins]
+    return Hypergraph(n, pins, hyperedge_weight=weights)
 
 
 def connectivity_degree(h: Hypergraph, p: Partition, e: int) -> int:

@@ -15,8 +15,8 @@ import time
 import pytest
 
 from hypart import (Hypergraph, PartitionConfig, PHASE_KEYS, Partition,
-                    bipartition, build_edge_partitions, cc_edge,
-                    cc_hypergraph, contract, extract_cores, fm_pass,
+                    bipartition, build_edge_partitions, contract,
+                    extract_cores, fm_pass, initial_threshold,
                     match_in_cores, match_noncore, max_imbalance,
                     partition_cost, partition_kway, project,
                     update_threshold, BalanceWindow)
@@ -26,7 +26,9 @@ from hypart.model import InfeasibleBalanceError
 from conftest import (SAMPLE16_CLUSTERS, SAMPLE16_CORES, SAMPLE16_NON_CORE,
                       SAMPLE16_PINS, SAMPLE16_SINGLETONS, load_workloads,
                       make_sample16, random_hypergraph)
-from reference import brute_force_bipartition, info_value, reference_cores
+from reference import (brute_force_bipartition, cc_oracle_hypergraph,
+                       info_value, reference_cc, reference_cc_edge,
+                       reference_cores, reference_threshold_seed)
 
 
 def report(number, name):
@@ -245,20 +247,29 @@ def _greedy_balanced(h, rng, window):
 
 class TestCriterion5ThresholdBehaviour:
     def test_threshold_behaviour(self):
-        # Unit hyperedges and isolated hyperedges score zero.
+        # Unit hyperedges and isolated hyperedges score zero; the seed is
+        # the mean over all hyperedges, here (0 + 1 + 0) / 3.
         h = Hypergraph(4, [[0], [0, 1], [2, 3]])
-        assert cc_edge(h, 0) == 0.0
-        assert cc_edge(h, 2) == 0.0   # shares no vertex with the rest
+        assert reference_cc_edge(h, 0) == 0.0
+        assert reference_cc_edge(h, 2) == 0.0   # shares no vertex with the rest
+        assert initial_threshold(h) == pytest.approx(1 / 3)
 
-        # Uniform hyperedge weight scaling leaves every CC unchanged.
+        # The seed is the clustering coefficient of its definition,
+        # clamped, and uniform hyperedge weight scaling leaves it
+        # unchanged. Most draws lie strictly inside the clamp, so the
+        # clamp cannot hide the formula.
         rng = random.Random(5)
-        for _ in range(30):
-            g = random_hypergraph(rng, min_edges=2)
+        draws = 100
+        inside = 0
+        for _ in range(draws):
+            g = cc_oracle_hypergraph(rng)
             scaled = Hypergraph(g.num_vertices, g.pins_by_hyperedge,
                                 hyperedge_weight=[w * 13 for w in g.hyperedge_weight])
-            for e in range(g.num_hyperedges):
-                assert abs(cc_edge(g, e) - cc_edge(scaled, e)) <= 1e-9
-            assert abs(cc_hypergraph(g) - cc_hypergraph(scaled)) <= 1e-9
+            assert abs(initial_threshold(g) - reference_threshold_seed(g)) <= 1e-12
+            assert abs(initial_threshold(scaled) - initial_threshold(g)) <= 1e-12
+            assert abs(reference_cc(scaled) - reference_cc(g)) <= 1e-9
+            inside += 0.05 < reference_cc(g) < 0.95
+        assert inside >= 0.8 * draws
 
         # Threshold updates: identity without degree change, clamps at
         # the ends of the working range.

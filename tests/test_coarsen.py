@@ -5,13 +5,15 @@ import random
 import pytest
 
 from hypart import (Hypergraph, Matching, Partition, build_edge_partitions,
-                    cc_edge, cc_hypergraph, contract, initial_threshold,
-                    match_in_cores, match_noncore, update_threshold)
+                    contract, initial_threshold, match_in_cores, match_noncore,
+                    update_threshold)
 from hypart.roughset import CoreDecomposition
 
 from conftest import (FixedOrderRng, make_path4, naive_cost, random_hypergraph,
                       random_weighted_hypergraph)
-from reference import degree, edge_size, reference_cores, weighted_jaccard
+from reference import (cc_oracle_hypergraph, degree, edge_size, reference_cc,
+                       reference_cc_edge, reference_cores,
+                       reference_threshold_seed, weighted_jaccard)
 
 
 class TestWeightedJaccard:
@@ -321,103 +323,71 @@ def random_matching(h, rng):
     return Matching(mate)
 
 
-def reference_cc_edge(h, e):
-    """The clustering coefficient of hyperedge ``e`` by its definition:
-    the overlap-weighted sum over the other hyperedges that share a pin
-    with ``e``, over their total weight counted once per shared pin."""
-    pins = h.pins_by_hyperedge[e]
-    size = len(pins)
-    if size <= 1:
-        return 0.0
-    weights = h.hyperedge_weight
-    overlap = {}
-    denom = 0
-    for v in pins:
-        for e2 in h.pins_by_vertex[v]:
-            if e2 == e:
-                continue
-            overlap[e2] = overlap.get(e2, 0) + 1
-            denom += weights[e2]
-    if denom == 0:
-        return 0.0
-    numer = sum((cnt / (size - 1)) * weights[e2] for e2, cnt in overlap.items())
-    return numer / denom
-
-
-def cc_oracle_hypergraph(rng):
-    """Random weighted hypergraph for the CC oracle: unit-size and
-    isolated hyperedges are common, and some draws add a dense row (one
-    vertex in every hyperedge of size two or more)."""
-    n = rng.randint(2, 16)
-    pins = []
-    for _ in range(rng.randint(1, 14)):
-        if rng.random() < 0.15:
-            pins.append([rng.randrange(n)])
-        else:
-            pins.append(sorted(rng.sample(range(n), rng.randint(2, min(6, n)))))
-    if rng.random() < 0.3:
-        hub = rng.randrange(n)
-        pins = [sorted(set(p) | {hub}) if len(p) > 1 else p for p in pins]
-    if rng.random() < 0.3:
-        # A hyperedge on fresh vertices shares no pin with any other.
-        pins.append([n, n + 1, n + 2][:rng.randint(1, 3)])
-        n += 3
-    weights = [rng.randint(1, 9) for _ in pins]
-    return Hypergraph(n, pins, hyperedge_weight=weights)
-
-
 class TestClusteringCoefficient:
+    # initial_threshold computes the seed in closed form; the overlap
+    # walk of reference_cc_edge is its definition.
     def test_matches_reference_walk(self):
         rng = random.Random(131)
-        isolated = unit = dense = 0
-        for _ in range(500):
+        draws = 500
+        isolated = unit = dense = inside = 0
+        for _ in range(draws):
             h = cc_oracle_hypergraph(rng)
-            want = [reference_cc_edge(h, e) for e in range(h.num_hyperedges)]
-            for e, ref in enumerate(want):
-                assert abs(cc_edge(h, e) - ref) <= 1e-12
+            assert abs(initial_threshold(h) - reference_threshold_seed(h)) <= 1e-12
+            inside += 0.05 < reference_cc(h) < 0.95
+            for e in range(h.num_hyperedges):
                 size = edge_size(h, e)
                 unit += size == 1
-                isolated += size > 1 and ref == 0.0
-            assert abs(cc_hypergraph(h) - sum(want) / len(want)) <= 1e-12
+                isolated += size > 1 and reference_cc_edge(h, e) == 0.0
             dense += any(degree(h, v) == h.num_hyperedges > 3 for v in range(h.num_vertices))
         assert isolated and unit and dense
+        # Most seeds lie strictly inside the clamp, so it cannot hide
+        # the formula.
+        assert inside >= 0.8 * draws
 
     def test_unit_hyperedge_is_zero(self):
+        # The unit hyperedge counts in the mean with 0.
         h = Hypergraph(3, [[0], [0, 1], [1, 2]])
-        assert cc_edge(h, 0) == 0.0
+        assert reference_cc_edge(h, 0) == 0.0
+        assert initial_threshold(h) == pytest.approx(2 / 3)
 
     def test_isolated_hyperedge_is_zero(self):
-        h = Hypergraph(3, [[0, 1, 2]])
-        assert cc_edge(h, 0) == 0.0
+        # [0, 1, 2] shares no pin, so it counts 0 and not 1 / 2.
+        h = Hypergraph(6, [[0, 1, 2], [3, 4], [4, 5]])
+        assert reference_cc_edge(h, 0) == 0.0
+        assert initial_threshold(h) == pytest.approx(2 / 3)
 
     def test_two_overlapping_edges(self):
-        h = Hypergraph(3, [[0, 1], [1, 2]])
-        assert cc_edge(h, 0) == pytest.approx(1.0)
-        assert cc_hypergraph(h) == pytest.approx(1.0)
+        h = Hypergraph(4, [[0, 1], [1, 2, 3]])
+        assert reference_cc_edge(h, 0) == pytest.approx(1.0)
+        assert reference_cc_edge(h, 1) == pytest.approx(0.5)
+        assert initial_threshold(h) == pytest.approx(0.75)
 
     def test_all_unit_edges(self):
         h = Hypergraph(3, [[0], [1], [2]])
-        assert cc_hypergraph(h) == 0.0
+        assert reference_cc(h) == 0.0
+        assert initial_threshold(h) == 0.05
 
     def test_disjoint_copies_keep_mean(self):
-        h1 = Hypergraph(3, [[0, 1], [1, 2]])
-        doubled = Hypergraph(6, [[0, 1], [1, 2], [3, 4], [4, 5]])
-        assert cc_hypergraph(doubled) == pytest.approx(cc_hypergraph(h1))
+        h1 = Hypergraph(4, [[0, 1], [1, 2, 3]])
+        doubled = Hypergraph(8, [[0, 1], [1, 2, 3], [4, 5], [5, 6, 7]])
+        assert initial_threshold(doubled) == pytest.approx(initial_threshold(h1))
+        assert initial_threshold(doubled) == pytest.approx(0.75)
 
     def test_uniform_weight_scaling_invariance(self):
         rng = random.Random(113)
         for _ in range(20):
-            h = random_hypergraph(rng)
-            if h.num_hyperedges == 0:
-                continue
+            h = cc_oracle_hypergraph(rng)
             scaled = Hypergraph(h.num_vertices, h.pins_by_hyperedge,
                                 hyperedge_weight=[w * 7 for w in h.hyperedge_weight])
             for e in range(h.num_hyperedges):
-                assert abs(cc_edge(h, e) - cc_edge(scaled, e)) <= 1e-9
+                assert abs(reference_cc_edge(h, e) - reference_cc_edge(scaled, e)) <= 1e-9
+            assert initial_threshold(scaled) == initial_threshold(h)
+            assert abs(initial_threshold(scaled) - reference_threshold_seed(scaled)) <= 1e-12
 
     def test_closed_form_identity(self):
         # The overlap-weighted sum and its normaliser differ only by the
-        # factor 1 / (|e| - 1), so the walk reduces to that closed form.
+        # factor 1 / (|e| - 1), so the walk reduces to the closed form
+        # that initial_threshold computes.
         rng = random.Random(127)
         for _ in range(300):
             n = rng.randint(1, 14)
@@ -427,7 +397,7 @@ class TestClusteringCoefficient:
             h = Hypergraph(n, pins, hyperedge_weight=weights)
             for e, edge in enumerate(pins):
                 shares = any(e2 != e for v in edge for e2 in h.pins_by_vertex[v])
-                got = cc_edge(h, e)
+                got = reference_cc_edge(h, e)
                 if len(edge) <= 1 or not shares:
                     assert got == 0.0
                 else:
@@ -436,7 +406,7 @@ class TestClusteringCoefficient:
 
     def test_no_hyperedges_is_an_error(self):
         with pytest.raises(ValueError):
-            cc_hypergraph(Hypergraph(3, []))
+            initial_threshold(Hypergraph(3, []))
 
 
 class TestThresholdUpdates:
@@ -459,3 +429,5 @@ class TestThresholdUpdates:
     def test_initial_threshold_clamps(self):
         h = Hypergraph(3, [[0], [1], [2]])   # CC is 0, clamps to 0.05
         assert initial_threshold(h) == pytest.approx(0.05)
+        h = Hypergraph(3, [[0, 1], [1, 2]])   # CC is 1, clamps to 0.95
+        assert initial_threshold(h) == pytest.approx(0.95)

@@ -397,8 +397,9 @@ class TestRunMany:
     def test_summary_statistics_match_statistics_module(self, monkeypatch):
         # The summary's mean and spread equal statistics.fmean and
         # statistics.pstdev, which the program no longer imports. Each
-        # run's cost is planted through a stub of the single-run function,
-        # so the summary arithmetic of run_many itself is checked.
+        # run's cost is planted through a stub of partition_kway, which
+        # run_many calls once per seed, so the summary arithmetic of
+        # run_many itself is checked.
         import statistics
 
         import hypart.driver as drv
@@ -414,7 +415,7 @@ class TestRunMany:
                                      imbalance=0.0, bisections=[], seed=cfg.seed)
                 return None, stats
 
-            monkeypatch.setattr(drv, "_partition_run", planted)
+            monkeypatch.setattr(drv, "partition_kway", planted)
             summary = run_many(make_path4(), PartitionConfig(seed=base, runs=len(costs)))
             monkeypatch.undo()
             mean = statistics.fmean(costs)

@@ -8,8 +8,10 @@ partition a matrix where numpy cannot be imported. The command line pays
 its import time on every call, so its records are NamedTuples rather
 than dataclasses (which load ``inspect``) and its run summary uses
 ``math`` rather than ``statistics`` (which loads ``decimal`` and
-``fractions``). Each check runs in a fresh interpreter, because the test
-process itself has long imported these modules through other suites.
+``fractions``). Every name that ``__all__`` lists must resolve under
+``from hypart import *``. Each check runs in a fresh interpreter, because
+the test process itself has long imported these modules through other
+suites.
 """
 
 import os
@@ -37,6 +39,17 @@ def run_fresh(code):
 def test_import_leaves_numpy_unloaded(module):
     out = run_fresh(f"import sys, {module}; print('numpy' in sys.modules)")
     assert out == "False"
+
+
+def test_star_import_resolves_every_public_name():
+    # A name left in __all__ after its definition is removed breaks
+    # ``from hypart import *`` for every user.
+    out = run_fresh(
+        "import hypart\n"
+        "names = {}\n"
+        "exec('from hypart import *', names)\n"
+        "print(sorted(set(hypart.__all__) - set(names)))\n")
+    assert out == "[]"
 
 
 def test_cli_import_leaves_slow_stdlib_modules_unloaded():
