@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .model import Hypergraph
 
@@ -71,14 +71,18 @@ def build_edge_partitions(h: Hypergraph, s: float) -> EdgePartitioning:
     On weighted levels the walk is also pruned by weight. The similarity
     of ``e`` and ``e2`` is ``fl(J * f)`` with ``J = inter / union <= 1``
     and ``f = (w(e) + w(e2)) / (2 * max weight)``. Rounding is monotone,
-    so ``sim <= f``, and ``f`` grows with ``w(e2)``. Hence no partner
-    lighter than the lightest weight whose ``f`` reaches ``s`` can join
-    ``e``'s cluster, and dropping it changes no cluster. When the two
-    lightest weights together already reach ``s`` nothing is prunable,
-    and the walk runs as above. Otherwise each vertex's hyperedges are
-    sorted heaviest first, once per call, and every incidence walk from
-    ``e`` stops at the first partner lighter than that bound. Clusters
-    are still verified by the full ``sim >= s`` expression.
+    so ``sim <= f``, and ``f`` depends only on the integer sum
+    ``w(e) + w(e2)`` and grows with it. So one bound serves the whole
+    level: ``need``, the least sum whose ``f`` reaches ``s``, found once
+    per call by :func:`_least` on the expression itself. No partner
+    lighter than ``need - w(e)`` can join ``e``'s cluster, and dropping
+    it changes no cluster. When the two lightest weights together
+    already reach ``s`` nothing is prunable, and the walk runs as above.
+    Otherwise each vertex's hyperedges are sorted heaviest first, once
+    per call, and every incidence walk from ``e`` stops at the first
+    partner lighter than ``need - w(e)``; where that is below 1, no
+    partner stops it. Clusters are still verified by the full
+    ``sim >= s`` expression.
 
     Equal-weight levels on which every two hyperedges that share two
     pins reach ``s``, but the largest and the smallest hyperedge sharing
@@ -99,13 +103,17 @@ def build_edge_partitions(h: Hypergraph, s: float) -> EdgePartitioning:
         # forms a giant cluster, which the walk's open-edge skip makes far
         # cheaper than pairs.
         if smax >= 2 and 2 / (2 * smax - 2) >= s > 1 / (smax + smin - 1):
-            return _pair_clusters(h, sizes, _longest_join(s))
+            # The guard keeps 1 / s below 2 * smax, so the search is short.
+            longest = _least(lambda k: 1 / k < s, int(1 / s)) - 1
+            return _pair_clusters(h, sizes, longest)
     cluster_of = [-1] * m
     clusters: List[List[int]] = []
     scale_den = 2.0 * max_w
     # Whether some pair fails on its weight factor alone.
     pruned = 2 * min_w / scale_den < s
     if pruned:
+        # The weight factor depends only on the integer sum w(e) + w(e2).
+        need = _least(lambda t: t / scale_den >= s, math.ceil(s * scale_den))
         heaviest_first = weights.__getitem__
         by_vertex = [sorted(incident, key=heaviest_first, reverse=True)
                      for incident in h.pins_by_vertex]
@@ -133,7 +141,7 @@ def build_edge_partitions(h: Hypergraph, s: float) -> EdgePartitioning:
             touched = []
             touch = touched.append
             if pruned:
-                lightest = _lightest_partner(w_e, scale_den, s)
+                lightest = need - w_e
                 for v in pins:
                     if not open_edges[v]:
                         continue
@@ -170,23 +178,6 @@ def build_edge_partitions(h: Hypergraph, s: float) -> EdgePartitioning:
     return EdgePartitioning(cluster_of, clusters)
 
 
-def _longest_join(s: float) -> int:
-    """Largest union size ``k`` with ``fl(1 / k) >= s``.
-
-    On an equal-weight level the weight factor is exactly 1.0, so two
-    hyperedges sharing ``i`` of ``k`` distinct pins have similarity
-    ``fl(i / k)``. The quotient falls as ``k`` grows and rounding is
-    monotone, so one shared pin reaches ``s`` exactly when the union
-    has at most this many pins.
-    """
-    k = int(1 / s)
-    while 1 / (k + 1) >= s:
-        k += 1
-    while 1 / k < s:
-        k -= 1
-    return k
-
-
 def _pair_clusters(h: Hypergraph, sizes: List[int], longest: int) -> EdgePartitioning:
     """Clusters of an equal-weight level by union-find over shared pins.
 
@@ -195,7 +186,14 @@ def _pair_clusters(h: Hypergraph, sizes: List[int], longest: int) -> EdgePartiti
     at least ``fl(2 / (a + b - 2)) >= fl(2 / (2 * smax - 2))``. So two
     hyperedges are adjacent in the similarity graph exactly when they
     share a vertex pair, or share one pin and their sizes ``a`` and
-    ``b`` satisfy ``a + b - 1 <= longest`` (from :func:`_longest_join`).
+    ``b`` satisfy ``a + b - 1 <= longest``.
+
+    ``longest`` is the largest union size ``k`` with ``fl(1 / k) >= s``,
+    found once per level by :func:`_least`. The weight factor is exactly
+    1.0 here, so one shared pin of a ``k``-pin union gives similarity
+    ``fl(1 / k)``; it falls as ``k`` grows and rounding is monotone, so
+    one shared pin reaches ``s`` exactly when the union has at most
+    ``longest`` pins.
 
     Shared pairs: for each vertex ``u``, one dict maps every higher pin
     ``v`` of ``u``'s hyperedges to the first hyperedge holding both, and
@@ -269,16 +267,20 @@ def _pair_clusters(h: Hypergraph, sizes: List[int], longest: int) -> EdgePartiti
     return EdgePartitioning(cluster_of, clusters)
 
 
-def _lightest_partner(w_e: int, scale_den: float, s: float) -> int:
-    """Smallest positive integer weight ``w`` with
-    ``(w_e + w) / scale_den >= s``: the weight factor of the similarity,
-    evaluated as it is there."""
-    w = max(1, math.ceil(s * scale_den) - w_e)
-    while w > 1 and (w_e + w - 1) / scale_den >= s:
-        w -= 1
-    while (w_e + w) / scale_den < s:
-        w += 1
-    return w
+def _least(holds: Callable[[int], bool], estimate: int) -> int:
+    """Smallest integer ``t >= 1`` at which the monotone test ``holds``
+    is true, searched from ``estimate`` in both directions.
+
+    The float boundaries of the similarity are found this way: the test
+    is the expression the walk evaluates, so the bound is exact however
+    the estimate rounds.
+    """
+    t = max(1, estimate)
+    while t > 1 and holds(t - 1):
+        t -= 1
+    while not holds(t):
+        t += 1
+    return t
 
 
 def extract_cores(h: Hypergraph, ep: EdgePartitioning) -> CoreDecomposition:

@@ -111,6 +111,28 @@ class TestCli:
                         "--stats", tmp_path / "s"])
         assert code == 2
 
+    @pytest.mark.parametrize("header, message", [
+        ("%%MatrixMarket matrix coordinate pattern", "malformed header"),
+        ("%%MatrixMarket matrix coordinate double general",
+         "unsupported field type 'double'"),
+        ("%%MatrixMarket matrix coordinate pattern upper", "unsupported symmetry 'upper'"),
+    ], ids=["header", "field", "symmetry"])
+    def test_unsupported_header_is_runtime_error(self, tmp_path, capsys, header, message):
+        bad = tmp_path / "bad.mtx"
+        bad.write_text(header + "\n2 2 1\n1 1\n")
+        code = run_cli(["--input", bad, "--out", tmp_path / "p",
+                        "--stats", tmp_path / "s"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"hypart: {bad}: {message}")
+        assert not (tmp_path / "p").exists()
+
+    def test_unwritable_output_is_runtime_error(self, matrix_file, tmp_path, capsys):
+        code = run_cli(["--input", matrix_file, "--out", tmp_path / "missing" / "p",
+                        "--stats", tmp_path / "s"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("hypart: cannot write output: ")
+
     @pytest.mark.parametrize("text", [
         b"%%MatrixMarket matrix coordinate pattern gen\xffral\n3 2 4\n1 1\n2 1\n2 2\n3 2\n",
         b"%%MatrixMarket matrix coordinate pattern general\n3 2 4\n1 1\n2 1\n2 2\n3 \xff2\n",

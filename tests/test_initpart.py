@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from hypart import (Hypergraph, InfeasibleBalanceError,
+from hypart import (BalanceWindow, Hypergraph, InfeasibleBalanceError,
                     Partition, generate_candidate, max_imbalance,
                     partition_cost, select_best)
 
@@ -54,6 +54,23 @@ class TestGenerateCandidate:
             for method in ("random", "linear", "fm-seeded"):
                 p = generate_candidate(h, method, rng, symmetric_window(h, 0.5))
                 assert min(p.part_sizes()) >= 1
+
+    def test_linear_repairs_an_empty_side(self):
+        # The window is [5, 7] with target 6. Vertex 0 (weight 7)
+        # overshoots the target, so linear filling leaves the start part
+        # empty, and the repair moves vertex 0 over to it alone.
+        h = Hypergraph(6, [[0, 1], [1, 2, 3], [3, 4, 5]],
+                       vertex_weight=[7, 1, 1, 1, 1, 1])
+        window = BalanceWindow.symmetric(12, 0.3)
+        assert window == BalanceWindow(5, 7, 6)
+        starts = set()
+        for seed in range(4):
+            p = generate_candidate(h, "linear", random.Random(seed), window)
+            assert min(p.part_sizes()) >= 1
+            assert window.violation(p.part_weight[0]) == 0
+            assert p.assignment.count(p.assignment[0]) == 1
+            starts.add(p.assignment[0])
+        assert starts == {0, 1}
 
     def test_oversized_vertex_rejected(self):
         h = Hypergraph(3, [[0, 1, 2]], vertex_weight=[10, 1, 1])

@@ -101,6 +101,21 @@ class TestReadMatrixMarket:
         with pytest.raises(MatrixFormatError):
             read("not a header\n1 1 1\n1 1\n")
 
+    @pytest.mark.parametrize("header, message", [
+        ("%%MatrixMarket matrix coordinate pattern",
+         "malformed header: '%%MatrixMarket matrix coordinate pattern'"),
+        ("%%MatrixMarket vector coordinate pattern general",
+         "malformed header: '%%MatrixMarket vector coordinate pattern general'"),
+        ("%%MatrixMarket matrix coordinate double general",
+         "unsupported field type 'double'"),
+        ("%%MatrixMarket matrix coordinate pattern upper",
+         "unsupported symmetry 'upper'"),
+    ], ids=["four-tokens", "not-matrix", "field", "symmetry"])
+    def test_unsupported_header_rejected(self, header, message):
+        with pytest.raises(MatrixFormatError) as excinfo:
+            read(header + "\n2 2 1\n1 1\n")
+        assert str(excinfo.value) == message
+
     def test_array_layout_rejected(self):
         with pytest.raises(MatrixFormatError):
             read("%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n")

@@ -7,6 +7,7 @@ import pytest
 
 from hypart import Hypergraph, build_edge_partitions, extract_cores
 from hypart import roughset
+from hypart.coarsen import THRESHOLD_CLAMP
 
 from conftest import (SAMPLE16_CLUSTERS, SAMPLE16_CORES, SAMPLE16_NON_CORE,
                       SAMPLE16_SINGLETONS, random_hypergraph,
@@ -317,8 +318,9 @@ def numbered_reference(h, s):
 
 
 def count_calls(monkeypatch, name):
-    """Record the arguments of each call of ``roughset.<name>``: the weight
-    bound ``_lightest_partner``, which only the pruned walk calls, or the
+    """Record the arguments of each call of ``roughset.<name>``: the bound
+    search ``_least``, which only pruned walks and the pair path call
+    (levels of unequal weights never take the pair path), or the
     equal-weight path ``_pair_clusters``."""
     calls = []
     original = getattr(roughset, name)
@@ -352,7 +354,7 @@ class TestClusteringOracle:
     def test_heavy_tailed_weights(self, monkeypatch, s):
         # Light pairs fail on their weight factor alone, so the walk
         # stops early; the clusters must not change.
-        calls = count_calls(monkeypatch, "_lightest_partner")
+        calls = count_calls(monkeypatch, "_least")
         rng = random.Random(83)
         pruned = 0
         for trial in range(150):
@@ -371,7 +373,7 @@ class TestClusteringOracle:
         # their similarity is s, so they must share a cluster, whichever
         # of them is expanded first. No other hyperedge touches them.
         assert (light + heavy) / (2.0 * outlier) == s
-        calls = count_calls(monkeypatch, "_lightest_partner")
+        calls = count_calls(monkeypatch, "_least")
         for weights in ([light, heavy, outlier, 1], [heavy, light, outlier, 1]):
             h = Hypergraph(7, [[0, 1, 2], [0, 1, 2], [3, 4, 5], [5, 6]],
                            hyperedge_weight=weights)
@@ -478,3 +480,79 @@ class TestClusteringOracle:
         # The draws reach isolated vertices, vertices that see only unit
         # clusters at s = 0.9, and levels without a multi-hyperedge cluster.
         assert isolated and unit_only and no_multi, (isolated, unit_only, no_multi)
+
+
+def with_neighbours(values):
+    """``values`` and the floats one ulp either side of each, inside (0, 1)."""
+    ties = set()
+    for x in values:
+        ties.update((math.nextafter(x, 0.0), x, math.nextafter(x, 1.0)))
+    return [s for s in ties if 0.0 < s < 1.0]
+
+
+def scan_least(holds, thresholds):
+    """Least ``t >= 1`` with ``holds(s, t)`` for each ``s`` of
+    ``thresholds``, by one linear scan over ``t``. The thresholds must
+    come in an order along which the answer never falls, so ``t`` never
+    has to go back."""
+    t = 1
+    for s in thresholds:
+        while not holds(s, t):
+            t += 1
+        yield s, t
+
+
+def weight_need(s, max_w):
+    """The pruned walk's bound: least weight sum whose factor reaches ``s``."""
+    scale_den = 2.0 * max_w
+    return roughset._least(lambda t: t / scale_den >= s, math.ceil(s * scale_den))
+
+
+def longest_join(s):
+    """The pair path's bound: largest union size ``k`` with ``fl(1 / k) >= s``."""
+    return roughset._least(lambda k: 1 / k < s, int(1 / s)) - 1
+
+
+class TestLeast:
+    """The bound search at float ties, against a linear scan of the
+    expression the similarity evaluates."""
+
+    def test_weight_bound_matches_scan(self):
+        too_high = too_low = 0
+        for max_w in range(1, 201):
+            scale_den = 2.0 * max_w
+            ratios = [t / scale_den for t in range(1, 2 * max_w)]
+            thresholds = sorted(with_neighbours(THRESHOLD_CLAMP + tuple(ratios)))
+            for s, need in scan_least(lambda s, t: t / scale_den >= s, thresholds):
+                assert weight_need(s, max_w) == need, f"s={s!r} max_w={max_w}"
+                estimate = math.ceil(s * scale_den)
+                too_high += estimate > need
+                too_low += estimate < need
+        # Both correction loops of the search run.
+        assert too_high and too_low
+
+    def test_pair_bound_matches_scan(self):
+        # The least k with fl(1 / k) < s falls as s grows, so scan from
+        # the top.
+        ratios = [1 / k for k in range(2, 401)]
+        thresholds = sorted(with_neighbours(THRESHOLD_CLAMP + tuple(ratios)), reverse=True)
+        for s, least in scan_least(lambda s, k: 1 / k < s, thresholds):
+            assert longest_join(s) == least - 1, f"s={s!r}"
+
+    def test_estimate_one_too_high(self):
+        # fl(0.55 * 100) = 55.00000000000001, but fl(55 / 100) = 0.55.
+        assert math.ceil(0.55 * 100.0) == 56
+        assert weight_need(0.55, 50) == 55
+
+    def test_estimate_one_too_low(self):
+        # fl(s * 6) rounds down to 2.0, but fl(2 / 6) = 1/3 < s.
+        s = math.nextafter(1 / 3, 1.0)
+        assert math.ceil(s * 6.0) == 2
+        assert weight_need(s, 3) == 3
+
+    def test_inverse_rounds_onto_the_tie(self):
+        # fl(1 / s) = 9.0, but fl(1 / 9) < s: one pin of a 9-pin union
+        # falls short.
+        s = math.nextafter(1 / 9, 1.0)
+        assert int(1 / s) == 9
+        assert longest_join(s) == 8
