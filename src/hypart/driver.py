@@ -128,7 +128,8 @@ def _bipartition_window(h: Hypergraph, rng: random.Random, window: BalanceWindow
     and the bisection record and the uncoarsening walk read those
     records. The opening level (threshold seed, cores and cluster count
     of ``h``) depends only on ``h``, so it is kept on ``h`` and computed
-    once, inside the timers of the first V-cycle that needs it. Raises
+    once, inside the timers of the first V-cycle that needs it. The
+    record's ``cost`` is the cut that refinement of ``h`` returns. Raises
     :class:`InfeasibleBalanceError` when the refined partition of ``h``
     ends outside the window.
     """
@@ -163,14 +164,14 @@ def _bipartition_window(h: Hypergraph, rng: random.Random, window: BalanceWindow
         fallback = window.violation(p.part_weight[0]) > 0
 
     with timer.phase("refinement"):
-        _refine_level(current, p, window, level_pos=len(levels))
+        cost = _refine_level(current, p, window, level_pos=len(levels))
 
     for pos in range(len(levels) - 1, -1, -1):
         link = levels[pos].link
         with timer.phase("projection"):
             p = project(p, link)
         with timer.phase("refinement"):
-            _refine_level(link.fine, p, window, level_pos=pos)
+            cost = _refine_level(link.fine, p, window, level_pos=pos)
 
     if window.violation(p.part_weight[0]) > 0:
         raise InfeasibleBalanceError(
@@ -183,7 +184,7 @@ def _bipartition_window(h: Hypergraph, rng: random.Random, window: BalanceWindow
                   for level in levels],
             "s": [level.s for level in levels],
             "clusters": [level.clusters for level in levels],
-            "cost": partition_cost(h, p),
+            "cost": cost,
             "coarsest": {"vertices": current.num_vertices,
                          "hyperedges": current.num_hyperedges,
                          "pins": current.num_pins()},
@@ -192,10 +193,12 @@ def _bipartition_window(h: Hypergraph, rng: random.Random, window: BalanceWindow
 
 
 def _refine_level(h: Hypergraph, p: Partition, window: BalanceWindow,
-                  level_pos: int) -> None:
-    refine_bipartition(h, p, "bfm", window=window)
+                  level_pos: int) -> int:
+    """Refine ``p`` on level ``h`` in place and return its cut."""
+    cost = refine_bipartition(h, p, "bfm", window=window)
     if level_pos < FMEE_FINEST_LEVELS:
-        refine_bipartition(h, p, "fm-ee", window=window)
+        cost = refine_bipartition(h, p, "fm-ee", window=window)
+    return cost
 
 
 def bipartition(h: Hypergraph, cfg: PartitionConfig) -> Tuple[Partition, dict]:

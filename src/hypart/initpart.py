@@ -57,12 +57,8 @@ def generate_candidate(h: Hypergraph, method: str, rng: random.Random,
         assignment = [0] * n
         assignment[seed_vertex] = 1
         p = _CostedCandidate.from_assignment(h, 2, assignment)
-        # The lone seed cuts every hyperedge it shares with another pin.
-        seed_cost = sum(h.hyperedge_weight[e] for e in h.pins_by_vertex[seed_vertex]
-                        if len(h.pins_by_hyperedge[e]) > 1)
         # Passes run until one changes nothing; the cap is a safety net.
-        p.cost = seed_cost + refine_bipartition(h, p, "fm-ee", window=window,
-                                                max_passes=12)
+        p.cost = refine_bipartition(h, p, "fm-ee", window=window, max_passes=12)
         # FM never moves the last vertex off a side and keeps the part
         # weights exact, so the result needs no repair.
         return p
@@ -112,9 +108,9 @@ def select_best(candidates: Sequence[Partition], h: Hypergraph,
     (ties go to the earliest candidate); if none is balanced, the one
     with the smallest violation wins and refinement is expected to
     repair the balance. An ``fm-seeded`` candidate of
-    :func:`generate_candidate` carries the cost FM tracked for it, the
-    seed's cost plus the refinement delta; other candidates are counted
-    here, from the dense tables of ``h`` when it has them.
+    :func:`generate_candidate` carries the cut its refinement returned;
+    other candidates are counted here, from the dense tables of ``h``
+    when it has them.
     """
     if not candidates:
         raise ValueError("select_best needs at least one candidate")

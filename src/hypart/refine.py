@@ -363,9 +363,10 @@ class _FmState:
 
 
 def fm_pass(h: Hypergraph, p: Partition, mode: str, window: BalanceWindow,
-            audit: bool = False) -> Tuple[Partition, int]:
+            audit: bool = False) -> Tuple[int, int]:
     """Run one FM pass of flavour ``mode`` in place and return
-    ``(p, cost_delta)``.
+    ``(cost, delta)``: the cut of ``p`` after the pass's rollback, and
+    that cut minus the cut the pass started from.
 
     The delta is never positive when the input satisfies the balance
     window; from an unbalanced input the pass prioritises reducing the
@@ -420,18 +421,19 @@ def fm_pass(h: Hypergraph, p: Partition, mode: str, window: BalanceWindow,
         p.assignment[v] = a
         p.part_weight[b] -= w
         p.part_weight[a] += w
-    return p, best_cost - initial_cost
+    return best_cost, best_cost - initial_cost
 
 
 def refine_bipartition(h: Hypergraph, p: Partition, mode: str,
                        window: BalanceWindow, max_passes: int = 2) -> int:
     """Run up to ``max_passes`` FM passes of flavour ``mode``, stopping
-    early when a pass changes nothing; return the total delta."""
-    total = 0
+    early when a pass changes nothing; return the cut of ``p`` after the
+    last pass."""
+    if max_passes < 1:
+        raise ValueError(f"max_passes must be at least 1, got {max_passes}")
     for _ in range(max_passes):
         violation_before = window.violation(p.part_weight[0])
-        _, delta = fm_pass(h, p, mode, window)
-        total += delta
+        cost, delta = fm_pass(h, p, mode, window)
         if delta == 0 and window.violation(p.part_weight[0]) == violation_before:
             break
-    return total
+    return cost

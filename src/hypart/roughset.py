@@ -19,7 +19,6 @@ is its case of threshold 0 with unit clusters dropped.
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .model import Hypergraph
@@ -98,22 +97,35 @@ def build_edge_partitions(h: Hypergraph, s: float) -> EdgePartitioning:
     if m and min_w == max_w:
         sizes = list(map(len, by_edge))
         smin, smax = min(sizes), max(sizes)
-        # Two shared pins always reach s; one shared pin does not for the
-        # largest and the smallest hyperedge. Where it does, the level
-        # forms a giant cluster, which the walk's open-edge skip makes far
-        # cheaper than pairs.
-        if smax >= 2 and 2 / (2 * smax - 2) >= s > 1 / (smax + smin - 1):
+
+        def one_pin_reaches(k: int) -> bool:
+            # The similarity of one shared pin in a k-pin union.
+            return 1 / k >= s
+
+        # Two shared pins always reach s: their least similarity,
+        # fl(2 / (2 * smax - 2)), rounds as fl(1 / (smax - 1)) does. One
+        # shared pin does not for the largest and the smallest hyperedge.
+        # Where it does, the level forms a giant cluster, which the walk's
+        # open-edge skip makes far cheaper than pairs.
+        if (smax >= 2 and one_pin_reaches(smax - 1)
+                and not one_pin_reaches(smax + smin - 1)):
             # The guard keeps 1 / s below 2 * smax, so the search is short.
-            longest = _least(lambda k: 1 / k < s, int(1 / s)) - 1
+            # It must come first: int(1 / s) overflows for a subnormal s.
+            longest = _least(lambda k: not one_pin_reaches(k), int(1 / s)) - 1
             return _pair_clusters(h, sizes, longest)
     cluster_of = [-1] * m
     clusters: List[List[int]] = []
     scale_den = 2.0 * max_w
+
+    def weight_reaches(t: int) -> bool:
+        # The weight factor, which depends only on the integer sum
+        # t = w(e) + w(e2), against s.
+        return t / scale_den >= s
+
     # Whether some pair fails on its weight factor alone.
-    pruned = 2 * min_w / scale_den < s
+    pruned = not weight_reaches(2 * min_w)
     if pruned:
-        # The weight factor depends only on the integer sum w(e) + w(e2).
-        need = _least(lambda t: t / scale_den >= s, math.ceil(s * scale_den))
+        need = _least(weight_reaches, math.ceil(s * scale_den))
         heaviest_first = weights.__getitem__
         by_vertex = [sorted(incident, key=heaviest_first, reverse=True)
                      for incident in h.pins_by_vertex]
@@ -130,11 +142,9 @@ def build_edge_partitions(h: Hypergraph, s: float) -> EdgePartitioning:
         for v in by_edge[seed]:
             open_edges[v] -= 1
         members = [seed]
-        queue = deque([seed])
-        queue_pop = queue.popleft
-        queue_push = queue.append
-        while queue:
-            e = queue_pop()
+        # members is the breadth-first queue: the loop also reaches every
+        # hyperedge appended while it runs.
+        for e in members:
             pins = by_edge[e]
             size_e = len(pins)
             w_e = weights[e]
@@ -172,7 +182,6 @@ def build_edge_partitions(h: Hypergraph, s: float) -> EdgePartitioning:
                     for v in pins2:
                         open_edges[v] -= 1
                     members.append(e2)
-                    queue_push(e2)
         clusters.append(sorted(members))
 
     return EdgePartitioning(cluster_of, clusters)

@@ -28,7 +28,7 @@ import random
 import pytest
 
 from hypart import (BalanceWindow, Hypergraph, InfeasibleBalanceError, Partition,
-                    fm_pass, refine_bipartition)
+                    fm_pass, partition_cost, refine_bipartition)
 from hypart import model, refine
 from hypart.dense import _DenseFmState
 from hypart.refine import FmAuditError, _FmState, _recount
@@ -266,13 +266,19 @@ class TestDifferentialFm:
         monkeypatch.setattr(model, "is_dense", lambda h: self.dense)
 
     def test_refine_bipartition_matches_reference(self, monkeypatch):
+        # refine_bipartition returns the cut it ends on; the reference
+        # sums the passes' deltas from the starting cut.
         for rng, h, window, mode, exit_window, start in fuzz_cases(101, 300):
             monkeypatch.setattr(refine, "EARLY_EXIT_WINDOW", exit_window)
             passes = rng.randint(1, 6)
-            expected = reference_refine(h, start, window, mode, exit_window, passes)
+            *expected, expected_delta = reference_refine(
+                h, start, window, mode, exit_window, passes)
             p = Partition.from_assignment(h, 2, start)
-            delta = refine_bipartition(h, p, mode, window=window, max_passes=passes)
-            assert (p.assignment, p.part_weight, delta) == expected
+            initial = partition_cost(h, p)
+            cost = refine_bipartition(h, p, mode, window=window, max_passes=passes)
+            assert [p.assignment, p.part_weight] == expected
+            assert cost == partition_cost(h, p)
+            assert cost - initial == expected_delta
             assert (model.dense_tables(h) is not None) == self.dense
 
     def test_audited_pass_matches_reference(self, monkeypatch):
@@ -293,8 +299,9 @@ class TestDifferentialFm:
                 h, start, window, mode, exit_window)
             p = Partition.from_assignment(h, 2, start)
             moves.clear()
-            _, delta = fm_pass(h, p, mode, window=window, audit=True)
+            cost, delta = fm_pass(h, p, mode, window=window, audit=True)
             assert [p.assignment, p.part_weight, delta] == expected
+            assert cost == partition_cost(h, p)
             assert moves == expected_moves
             assert (model.dense_tables(h) is not None) == self.dense
             early_exits += exited_early

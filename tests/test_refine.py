@@ -113,6 +113,15 @@ class TestFmPass:
                            max_passes=10)
         assert max_imbalance(h, p) <= 0.1
 
+    @pytest.mark.parametrize("max_passes", (0, -1))
+    def test_refine_rejects_fewer_than_one_pass(self, path4, max_passes):
+        # Without a pass there is no cut to return.
+        p = Partition.from_assignment(path4, 2, [0, 1, 0, 1])
+        with pytest.raises(ValueError):
+            refine_bipartition(path4, p, "bfm", symmetric_window(path4, 0.1),
+                               max_passes=max_passes)
+        assert p.assignment == [0, 1, 0, 1]
+
     def test_unit_weights_reach_any_window_in_one_ee_pass(self):
         # With unit vertex weights, while part 0 weighs more than
         # ``upper`` only moves off side 0 are admissible, and each lowers
