@@ -201,13 +201,6 @@ def _refine_level(h: Hypergraph, p: Partition, window: BalanceWindow,
     return cost
 
 
-def bipartition(h: Hypergraph, cfg: PartitionConfig) -> Tuple[Partition, dict]:
-    """Bisect ``h``: the k=2 case of :func:`partition_kway`, returning its
-    partition and the record of its one bisection."""
-    p, stats = partition_kway(h, cfg._replace(k=2))
-    return p, stats.bisections[0]
-
-
 def induce_subhypergraph(h: Hypergraph, p: Partition, part: int) -> Tuple[Hypergraph, List[int]]:
     """Vertex-induced sub-hypergraph of one part, densely renumbered.
 
@@ -316,7 +309,6 @@ def run_many(h: Hypergraph, cfg: PartitionConfig) -> dict:
     best_index = min(range(len(results)), key=lambda i: (costs[i], i))
     best_partition, best_stats = results[best_index]
     return {
-        "best_cost": costs[best_index],
         "mean_cost": math.fsum(costs) / len(costs),
         "std_dev_percent": std_dev_percent(costs),
         "best_partition": best_partition,

@@ -1,4 +1,4 @@
-"""Sparse matrix ingestion and partition file I/O.
+"""Sparse matrix ingestion and partition file output.
 
 Matrices in Matrix Market coordinate format are read as hypergraphs with
 the column-net convention: rows become vertices, columns become
@@ -19,10 +19,6 @@ WEIGHT_SCHEMES = ("unit", "size")
 
 class MatrixFormatError(ValueError):
     """Raised for malformed Matrix Market input."""
-
-
-class PartitionFormatError(ValueError):
-    """Raised for malformed partition files."""
 
 
 def read_matrix_market(source: TextIO, scheme: str = "unit",
@@ -119,22 +115,3 @@ def write_partition(p: Partition, sink: TextIO) -> None:
     for part in p.assignment:
         sink.write(f"{part}\n")
 
-
-def read_partition(source: TextIO, h: Hypergraph, k: int) -> Partition:
-    """Read a partition file back into a Partition with fresh weights."""
-    assignment = []
-    for lineno, line in enumerate(source, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            part = int(stripped)
-        except ValueError:
-            raise PartitionFormatError(f"line {lineno}: not an integer: {stripped!r}") from None
-        if not 0 <= part < k:
-            raise PartitionFormatError(f"line {lineno}: part id {part} out of range [0, {k})")
-        assignment.append(part)
-    if len(assignment) != h.num_vertices:
-        raise PartitionFormatError(
-            f"wrong line count: expected {h.num_vertices}, got {len(assignment)}")
-    return Partition.from_assignment(h, k, assignment)

@@ -389,7 +389,6 @@ def fm_pass(h: Hypergraph, p: Partition, mode: str, window: BalanceWindow,
     # States compare by violation, then cost; violations are exact, so
     # balanced states, whose violation is 0, come first.
     best_key = (state.violation, state.cost)
-    best_cost = state.cost
     best_index = 0
     history: List[int] = []
     stall = 0
@@ -405,7 +404,6 @@ def fm_pass(h: Hypergraph, p: Partition, mode: str, window: BalanceWindow,
         key = (state.violation, state.cost)
         if key < best_key:
             best_key = key
-            best_cost = state.cost
             best_index = len(history)
             stall = 0
         else:
@@ -421,7 +419,7 @@ def fm_pass(h: Hypergraph, p: Partition, mode: str, window: BalanceWindow,
         p.assignment[v] = a
         p.part_weight[b] -= w
         p.part_weight[a] += w
-    return best_cost, best_cost - initial_cost
+    return best_key[1], best_key[1] - initial_cost
 
 
 def refine_bipartition(h: Hypergraph, p: Partition, mode: str,

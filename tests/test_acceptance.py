@@ -15,7 +15,7 @@ import time
 import pytest
 
 from hypart import (Hypergraph, PartitionConfig, PHASE_KEYS, Partition,
-                    bipartition, build_edge_partitions, contract,
+                    build_edge_partitions, contract,
                     extract_cores, fm_pass, initial_threshold,
                     match_in_cores, match_noncore, max_imbalance,
                     partition_cost, partition_kway, project,
@@ -135,7 +135,7 @@ class TestCriterion2OracleQuality:
             costs = []
             for seed in range(3):
                 cfg = PartitionConfig(k=2, epsilon=epsilon, seed=seed)
-                p, _ = bipartition(h, cfg)
+                p, _ = partition_kway(h, cfg)
                 cost = partition_cost(h, p)
                 assert max_imbalance(h, p) <= epsilon + 1e-9
                 assert cost >= oracle.best_cost, \
@@ -219,8 +219,8 @@ class TestCriterion4StructuralInvariants:
             if instances % 20 == 0 and h.num_vertices >= 4:
                 try:
                     cfg = PartitionConfig(k=2, epsilon=0.3, seed=instances)
-                    p1, _ = bipartition(h, cfg)
-                    p2, _ = bipartition(h, cfg)
+                    p1, _ = partition_kway(h, cfg)
+                    p2, _ = partition_kway(h, cfg)
                 except InfeasibleBalanceError:
                     continue
                 assert p1.assignment == p2.assignment

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from hypart import (BalanceWindow, Hypergraph, InfeasibleBalanceError,
-                    PartitionConfig, PHASE_KEYS, bipartition, induce_subhypergraph,
+                    PartitionConfig, PHASE_KEYS, induce_subhypergraph,
                     initial_threshold, max_imbalance, partition_cost,
                     partition_kway, run_many, update_threshold)
 from hypart.driver import std_dev_percent
@@ -33,22 +33,25 @@ def grid_hypergraph(rows, cols):
 
 
 class TestBipartition:
+    """The default config's k = 2 runs of partition_kway; a run's
+    ``stats.bisections[0]`` is the record of its one bisection."""
+
     def test_small_instance_skips_coarsening(self, path4):
         cfg = PartitionConfig(epsilon=0.1, seed=3)
-        p, info = bipartition(make_path4(), cfg)
-        assert info["levels"] == 0
+        p, stats = partition_kway(make_path4(), cfg)
+        assert stats.bisections[0]["levels"] == 0
         assert partition_cost(path4, p) == 1
 
     def test_path_reaches_oracle_optimum(self, path4):
         oracle = brute_force_bipartition(path4, 0.1)
         for seed in range(6):
-            p, _ = bipartition(make_path4(), PartitionConfig(epsilon=0.1, seed=seed))
+            p, _ = partition_kway(make_path4(), PartitionConfig(epsilon=0.1, seed=seed))
             assert partition_cost(path4, p) == oracle.best_cost
 
     def test_sample16_quality_bound(self, sample16):
         oracle = brute_force_bipartition(sample16, 0.25)
         for seed in range(6):
-            p, _ = bipartition(sample16, PartitionConfig(epsilon=0.25, seed=seed))
+            p, _ = partition_kway(sample16, PartitionConfig(epsilon=0.25, seed=seed))
             cost = partition_cost(sample16, p)
             assert cost >= oracle.best_cost
             assert cost <= 4
@@ -57,27 +60,28 @@ class TestBipartition:
     def test_coarsening_engages_on_larger_input(self):
         h = grid_hypergraph(16, 16)
         cfg = PartitionConfig(epsilon=0.05, seed=1)
-        p, info = bipartition(h, cfg)
+        p, stats = partition_kway(h, cfg)
+        info = stats.bisections[0]
         assert info["levels"] >= 1
         assert all(1.0 <= r <= 2.0 for r in info["r"])
         assert all(0.05 <= s <= 0.95 for s in info["s"])
         assert max_imbalance(h, p) <= 0.05
 
     def test_checks_input_like_partition_kway(self):
-        # bipartition is the k=2 case of partition_kway, so it rejects
-        # what partition_kway rejects, whatever k the config names.
         with pytest.raises(ValueError, match="exceeds the number of vertices"):
-            bipartition(Hypergraph(1, []), PartitionConfig(epsilon=0.1))
+            partition_kway(Hypergraph(1, []), PartitionConfig(epsilon=0.1))
         with pytest.raises(ValueError, match="invalid hypergraph"):
-            bipartition(Hypergraph(3, [[0, 3]]), PartitionConfig(k=4, epsilon=0.1))
+            partition_kway(Hypergraph(3, [[0, 3]]), PartitionConfig(epsilon=0.1))
 
 
 class TestPartitionKway:
     def test_k2_matches_bipartition(self, sample16):
+        # A k = 2 run is one bisection: its record's cut, as FM returns
+        # it, is the run's recounted cost.
         cfg = PartitionConfig(k=2, epsilon=0.25, seed=5)
-        p_direct, _ = bipartition(sample16, cfg)
-        p_kway, _ = partition_kway(sample16, cfg)
-        assert partition_cost(sample16, p_kway) == partition_cost(sample16, p_direct)
+        p, stats = partition_kway(sample16, cfg)
+        assert len(stats.bisections) == 1
+        assert stats.bisections[0]["cost"] == stats.cost == partition_cost(sample16, p)
 
     def test_k4_on_16_units(self, sample16):
         p, _ = partition_kway(sample16, PartitionConfig(k=4, epsilon=0.02, seed=1))
@@ -165,7 +169,7 @@ class TestPartitionKway:
         monkeypatch.setattr(drv, "project", recording_project)
         monkeypatch.setattr(drv, "_refine_level", recording_refine)
         h = grid_hypergraph(16, 16)
-        drv.bipartition(h, PartitionConfig(epsilon=0.05, seed=2))
+        partition_kway(h, PartitionConfig(epsilon=0.05, seed=2))
         pairs = [r for r in records if r[0] == "pair"]
         assert pairs, "expected at least one projected level"
         for _, projected, refined in pairs:
@@ -188,12 +192,14 @@ class TestPartitionKway:
         # coarsest level, and its FM takes the bit-parallel gain update.
         rng = random.Random(5)
         h = Hypergraph(64, [rng.sample(range(64), 5) for _ in range(3500)])
-        _, record = bipartition(h, PartitionConfig(epsilon=0.05, seed=1))
+        _, stats = partition_kway(h, PartitionConfig(epsilon=0.05, seed=1))
+        record = stats.bisections[0]
         assert record["levels"] == 0
         assert record["coarsest"] == {"vertices": 64, "hyperedges": 3500, "pins": 17500}
         assert record["dense_fm"] == 1
         assert record["fallback"] is False
-        _, record = bipartition(grid_hypergraph(16, 16), PartitionConfig(epsilon=0.05, seed=2))
+        _, stats = partition_kway(grid_hypergraph(16, 16), PartitionConfig(epsilon=0.05, seed=2))
+        record = stats.bisections[0]
         assert record["levels"] > 0 and record["dense_fm"] == 0
         assert record["coarsest"]["vertices"] <= 100
 
@@ -222,7 +228,8 @@ class TestPartitionKway:
         monkeypatch.setattr(drv, "contract", linking)
         rng = random.Random(7)
         h = Hypergraph(300, [rng.sample(range(300), 5) for _ in range(1500)])
-        _, record = bipartition(h, PartitionConfig(epsilon=0.05, seed=2))
+        _, stats = partition_kway(h, PartitionConfig(epsilon=0.05, seed=2))
+        record = stats.bisections[0]
         levels = record["levels"]
         assert levels > 1 and len(links) == levels
         assert record["clusters"] == counts[:levels]
@@ -370,7 +377,7 @@ class TestRunMany:
     def test_single_run(self, sample16):
         cfg = PartitionConfig(k=2, epsilon=0.25, seed=9, runs=1)
         summary = run_many(sample16, cfg)
-        assert summary["best_cost"] == summary["mean_cost"]
+        assert summary["best_stats"].cost == summary["mean_cost"]
         assert summary["std_dev_percent"] == 0.0
         assert len(summary["runs"]) == 1
 
@@ -384,7 +391,7 @@ class TestRunMany:
         cfg = PartitionConfig(k=2, epsilon=0.05, seed=1, runs=4)
         summary = run_many(h, cfg)
         costs = [s.cost for s in summary["runs"]]
-        assert summary["best_cost"] == min(costs)
+        assert summary["best_stats"].cost == min(costs)
         assert summary["mean_cost"] == pytest.approx(sum(costs) / len(costs))
         assert summary["std_dev_percent"] == pytest.approx(std_dev_percent(costs))
 

@@ -14,9 +14,11 @@ the test process itself has long imported these modules through other
 suites.
 """
 
+import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -75,18 +77,38 @@ def test_oracle_loads_numpy_on_first_call():
     assert out == "False True 1"
 
 
-def test_cli_partitions_without_numpy(tmp_path):
-    # A ring of 16 rows: column j holds rows j and j+1 (mod 16).
-    n = 16
-    entries = [(j, j) for j in range(n)] + [((j + 1) % n, j) for j in range(n)]
-    matrix = tmp_path / "ring.mtx"
+def ring(n):
+    """Column j holds rows j and j+1 (mod n)."""
+    return [(j, j) for j in range(n)] + [((j + 1) % n, j) for j in range(n)]
+
+
+def chain(n):
+    """The ring, plus row j+2 (mod n) in every third column."""
+    return ring(n) + [((j + 2) % n, j) for j in range(0, n, 3)]
+
+
+# Each case names its matrix, its extra flags and the bounds on every
+# part's row count. The rings are below the coarsest size, so nothing
+# coarsens them; at k = 4 the 8-row ring drives recursion and induction,
+# and each quarter gets the width-0 window [2, 2]. The 400-row chain with
+# size weights runs clustering (the pruned walk), cores, matching and
+# contraction.
+@pytest.mark.parametrize("entries, k, flags, lo, hi", [
+    (ring(16), 4, ["--runs", "2"], 1, 16),
+    (ring(8), 2, [], 1, 8),
+    (ring(8), 4, [], 2, 2),
+    (chain(400), 4, ["--edge-weights", "size"], 98, 102),
+], ids=["ring16-k4-runs2", "ring8-k2", "ring8-k4", "chain400-k4-size"])
+def test_cli_partitions_without_numpy(tmp_path, entries, k, flags, lo, hi):
+    n = max(c for _, c in entries) + 1
+    matrix = tmp_path / "matrix.mtx"
     matrix.write_text(
         "%%MatrixMarket matrix coordinate pattern general\n"
         f"{n} {n} {len(entries)}\n"
         + "".join(f"{r + 1} {c + 1}\n" for r, c in entries))
-    out = tmp_path / "ring.part"
-    argv = ["--input", str(matrix), "--k", "4", "--runs", "2", "--quiet",
-            "--out", str(out), "--stats", str(tmp_path / "ring.stats.json")]
+    out, stats = tmp_path / "matrix.part", tmp_path / "matrix.stats.json"
+    argv = ["--input", str(matrix), "--k", str(k), "--quiet", "--out", str(out),
+            "--stats", str(stats)] + flags
     # A None entry in sys.modules makes every numpy import raise.
     code = run_fresh(
         "import sys\n"
@@ -94,7 +116,16 @@ def test_cli_partitions_without_numpy(tmp_path):
         "from hypart.cli import main\n"
         f"print(main({argv!r}))\n")
     assert code == "0"
-    assert sorted(set(map(int, out.read_text().split()))) == [0, 1, 2, 3]
+    sizes = Counter(map(int, out.read_text().split()))
+    assert sorted(sizes) == list(range(k))
+    assert all(lo <= size <= hi for size in sizes.values()), sizes
+    # Each bisection record's cost is the cut FM returned; a restricted
+    # net is cut once per bisection it spans, so the k - 1 records sum to
+    # the final connectivity-minus-one recount.
+    document = json.loads(stats.read_text())
+    cuts = [b["cost"] for b in document["bisections"]]
+    assert len(cuts) == k - 1
+    assert sum(cuts) == document["cost"]
 
 
 def test_dense_path_loads_on_first_dense_level():
@@ -104,12 +135,12 @@ def test_dense_path_loads_on_first_dense_level():
     out = run_fresh(
         "import sys, itertools\n"
         "import hypart.cli\n"
-        "from hypart import Hypergraph, PartitionConfig, bipartition\n"
+        "from hypart import Hypergraph, PartitionConfig, partition_kway\n"
         "loaded = ['hypart.dense' in sys.modules]\n"
-        "bipartition(Hypergraph(8, [[i, i + 1] for i in range(7)]), PartitionConfig(epsilon=0.3))\n"
+        "partition_kway(Hypergraph(8, [[i, i + 1] for i in range(7)]), PartitionConfig(epsilon=0.3))\n"
         "loaded.append('hypart.dense' in sys.modules)\n"
         "pins = list(itertools.combinations(range(6), 3))\n"
-        "bipartition(Hypergraph(6, pins), PartitionConfig(epsilon=0.3))\n"
+        "partition_kway(Hypergraph(6, pins), PartitionConfig(epsilon=0.3))\n"
         "loaded.append('hypart.dense' in sys.modules)\n"
         "print(loaded)\n")
     assert out == "[False, False, True]"
