@@ -146,11 +146,6 @@ class _DenseFmState(_FmState):
         return sum(((other & m).bit_count() - (own & m).bit_count()) << b
                    for b, m in self.tables.vertex_planes[u])
 
-    def _count0(self) -> List[int]:
-        planes = self.planes[0]
-        return [sum((plane >> e & 1) << j for j, plane in enumerate(planes))
-                for e in range(self.h.num_hyperedges)]
-
     def _update_gains(self, v: int, a: int) -> None:
         tables = self.tables
         nz = self.nz

@@ -113,10 +113,6 @@ def _recount(h: Hypergraph, assignment: List[int]) -> Tuple[List[int], List[int]
     return count0, gains, cost
 
 
-class FmAuditError(RuntimeError):
-    """The incremental FM state disagrees with a from-scratch recount."""
-
-
 class _FmState:
     """Bookkeeping for one FM pass: pin counts, gains, buckets and
     vertex states.
@@ -167,10 +163,6 @@ class _FmState:
                 for v in pins:
                     eligible[v] = True
         return gains, cost, eligible
-
-    def _count0(self) -> List[int]:
-        """Part-0 pin count of every hyperedge, as the pass tracks it."""
-        return self.count0
 
     def limit(self, side: int) -> int:
         """Heaviest vertex weight that may move off ``side`` now."""
@@ -318,52 +310,9 @@ class _FmState:
                     bucket.add(u)
         self.cost = cost
 
-    def audit(self) -> None:
-        """Recount pin counts, cost and gains from scratch and check the
-        bucket and gain-list invariants; raise :class:`FmAuditError` on any
-        disagreement."""
-        h = self.h
-        assignment = self.p.assignment
-        count0, fresh, cost = _recount(h, assignment)
-        if count0 != self._count0():
-            raise FmAuditError("incremental pin count drift")
-        if cost != self.cost:
-            raise FmAuditError(f"incremental cost drift: {self.cost} != {cost}")
-        if self.violation != self.window.violation(self.p.part_weight[0]):
-            raise FmAuditError("stale balance violation")
-        state = self.state
-        # Gains of locked vertices are not maintained; check the rest.
-        for u in range(h.num_vertices):
-            if state[u] is not None and self.gains[u] != fresh[u]:
-                raise FmAuditError(f"incremental gain drift at vertex {u}")
-        seen = set()
-        for s in (0, 1):
-            if self.keys[s] != sorted(self.buckets[s]):
-                raise FmAuditError(f"gain list of side {s} disagrees with its buckets")
-            for gain, bucket in self.buckets[s].items():
-                if not bucket:
-                    raise FmAuditError(f"empty bucket for gain {gain} on side {s}")
-                for u in bucket:
-                    if (u in seen or state[u] is not True
-                            or assignment[u] != s or self.gains[u] != gain):
-                        raise FmAuditError(f"vertex {u} sits in the wrong bucket")
-                    seen.add(u)
-        if len(seen) != state.count(True):
-            raise FmAuditError("bucket membership disagrees with the vertex states")
-        # The invariant: every unlocked pin of a cut net (in fm-ee, every
-        # unlocked vertex) is in a bucket.
-        if self.boundary_only:
-            eligible = {u for e, pins in enumerate(h.pins_by_hyperedge)
-                        if 0 < count0[e] < len(pins) for u in pins}
-        else:
-            eligible = range(h.num_vertices)
-        for u in eligible:
-            if state[u] is False:
-                raise FmAuditError(f"eligible vertex {u} is missing from the buckets")
 
-
-def fm_pass(h: Hypergraph, p: Partition, mode: str, window: BalanceWindow,
-            audit: bool = False) -> Tuple[int, int]:
+def fm_pass(h: Hypergraph, p: Partition, mode: str,
+            window: BalanceWindow) -> Tuple[int, int]:
     """Run one FM pass of flavour ``mode`` in place and return
     ``(cost, delta)``: the cut of ``p`` after the pass's rollback, and
     that cut minus the cut the pass started from.
@@ -394,8 +343,6 @@ def fm_pass(h: Hypergraph, p: Partition, mode: str, window: BalanceWindow,
     stall = 0
 
     while True:
-        if audit:
-            state.audit()
         v = state.select()
         if v is None:
             break

@@ -129,19 +129,6 @@ def symmetric_window(h, epsilon):
     return BalanceWindow.symmetric(h.total_vertex_weight, epsilon)
 
 
-def naive_cost(h, assignment):
-    """Independent connectivity-minus-one tally, one hyperedge at a time."""
-    total = 0
-    for e, pins in enumerate(h.pins_by_hyperedge):
-        if not pins:
-            continue
-        parts = set()
-        for v in pins:
-            parts.add(assignment[v])
-        total += h.hyperedge_weight[e] * (len(parts) - 1)
-    return total
-
-
 def naive_connectivity(h, assignment, e):
     return len({assignment[v] for v in h.pins_by_hyperedge[e]})
 

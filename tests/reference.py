@@ -7,6 +7,12 @@ None of them is on the partitioning path, so they live with the tests
 rather than in the package. :func:`cc_oracle_hypergraph` draws the
 random inputs the clustering-coefficient oracle is checked on.
 
+:func:`reference_fm_pass` and :func:`reference_refine` are the scalar
+FM, which recounts gains from scratch before every move.
+:func:`audit_fm_state` checks the incremental state of the package's FM
+pass against :func:`reference_recount`; :func:`audit_before` hooks it
+in front of every move selection.
+
 :func:`brute_force_bipartition` is the exhaustive reference
 bipartitioner. It is the only user of numpy, which it imports on its
 first call.
@@ -15,7 +21,7 @@ first call.
 from __future__ import annotations
 
 import random
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from hypart import (CoreDecomposition, EdgePartitioning, Hypergraph,
                     InfeasibleBalanceError, Partition)
@@ -92,6 +98,19 @@ def cc_oracle_hypergraph(rng: random.Random) -> Hypergraph:
     return Hypergraph(n, pins, hyperedge_weight=weights)
 
 
+def naive_cost(h, assignment):
+    """Independent connectivity-minus-one tally, one hyperedge at a time."""
+    total = 0
+    for e, pins in enumerate(h.pins_by_hyperedge):
+        if not pins:
+            continue
+        parts = set()
+        for v in pins:
+            parts.add(assignment[v])
+        total += h.hyperedge_weight[e] * (len(parts) - 1)
+    return total
+
+
 def connectivity_degree(h: Hypergraph, p: Partition, e: int) -> int:
     """Number of distinct parts touched by hyperedge ``e``."""
     if not 0 <= e < h.num_hyperedges:
@@ -150,6 +169,37 @@ def _sorted_intersection_size(a: List[int], b: List[int]) -> int:
         else:
             j += 1
     return count
+
+
+def reference_clusters(h, s):
+    """Connected components of the graph joining every pair of
+    hyperedges whose ``hyperedge_similarity`` reaches ``s``."""
+    parent = list(range(h.num_hyperedges))
+
+    def find(e):
+        while parent[e] != e:
+            parent[e] = parent[parent[e]]
+            e = parent[e]
+        return e
+
+    for ei in range(h.num_hyperedges):
+        for ej in range(ei + 1, h.num_hyperedges):
+            if hyperedge_similarity(h, ei, ej) >= s:
+                parent[find(ei)] = find(ej)
+    groups = {}
+    for e in range(h.num_hyperedges):
+        groups.setdefault(find(e), set()).add(e)
+    return {frozenset(g) for g in groups.values()}
+
+
+def numbered_reference(h, s):
+    """``reference_clusters`` as the walk numbers them: by smallest member."""
+    clusters = sorted(sorted(c) for c in reference_clusters(h, s))
+    cluster_of = [0] * h.num_hyperedges
+    for c_id, members in enumerate(clusters):
+        for e in members:
+            cluster_of[e] = c_id
+    return EdgePartitioning(cluster_of, clusters)
 
 
 def reduced_value(h: Hypergraph, ep: EdgePartitioning, v: int, c_id: int) -> int:
@@ -234,6 +284,240 @@ def weighted_jaccard(h: Hypergraph, u: int, v: int) -> float:
     if union == 0:
         return 0.0
     return shared / union
+
+
+def reference_best_mate(h: Hypergraph, u: int, free) -> Optional[int]:
+    """The vertex of ``free`` other than ``u`` with the highest
+    :func:`weighted_jaccard` to ``u`` above zero, ties going to the
+    lowest id; None when none shares a hyperedge with ``u``."""
+    best, best_j = None, 0.0
+    for x in sorted(free):
+        if x == u:
+            continue
+        j = weighted_jaccard(h, u, x)
+        if j > best_j:
+            best, best_j = x, j
+    return best
+
+
+def reference_gains(h, assignment):
+    """FM gain of every vertex of a bipartition, hyperedge by hyperedge."""
+    gains = [0] * h.num_vertices
+    for e, pins in enumerate(h.pins_by_hyperedge):
+        w = h.hyperedge_weight[e]
+        for v in pins:
+            own = sum(1 for u in pins if assignment[u] == assignment[v])
+            other = len(pins) - own
+            gains[v] += w * ((1 if other > 0 else 0) - (1 if own > 1 else 0))
+    return gains
+
+
+def reference_recount(h, assignment):
+    """Pin counts, gains and cost pin by pin, as ``hypart.refine._recount``
+    defines them."""
+    count0 = []
+    gains = [0] * h.num_vertices
+    cost = 0
+    for pins, w in zip(h.pins_by_hyperedge, h.hyperedge_weight):
+        sides = [assignment[v] for v in pins]
+        c1 = sum(sides)
+        c0 = len(pins) - c1
+        count0.append(c0)
+        g0 = w * ((c1 > 0) - (c0 > 1))
+        g1 = w * ((c0 > 0) - (c1 > 1))
+        if c0 and c1:
+            cost += w
+            for v, s in zip(pins, sides):
+                gains[v] += g1 if s else g0
+        else:
+            g = g1 if c1 else g0
+            for v in pins:
+                gains[v] += g
+    return count0, gains, cost
+
+
+def reference_admissible(h, window, assignment, part_weight, v):
+    a = assignment[v]
+    if sum(1 for part in assignment if part == a) <= 1:
+        return False
+    wmax = max(h.vertex_weight)
+    lo_soft = min(window.lower, window.target - wmax)
+    hi_soft = max(window.upper, window.target + wmax)
+    w0 = part_weight[0]
+    w0_after = w0 - h.vertex_weight[v] if a == 0 else w0 + h.vertex_weight[v]
+    if lo_soft - 1e-9 <= w0_after <= hi_soft + 1e-9:
+        return True
+    return window.violation(w0_after) < window.violation(w0) - 1e-12
+
+
+def reference_select(h, window, assignment, part_weight, candidates):
+    gains = reference_gains(h, assignment)
+    total = h.total_vertex_weight
+    deficits = (window.target - part_weight[0],
+                (total - window.target) - part_weight[1])
+    for gain in sorted({gains[v] for v in candidates}, reverse=True):
+        best = [None, None]
+        for side in (0, 1):
+            for v in sorted(candidates):
+                if (gains[v] == gain and assignment[v] == side
+                        and reference_admissible(h, window, assignment, part_weight, v)):
+                    best[side] = v
+                    break
+        cand0, cand1 = best
+        if cand0 is None and cand1 is None:
+            continue
+        if cand1 is None:
+            return cand0
+        if cand0 is None:
+            return cand1
+        key0 = (0 if deficits[1] >= deficits[0] else 1, cand0)
+        key1 = (0 if deficits[0] >= deficits[1] else 1, cand1)
+        return cand0 if key0 <= key1 else cand1
+    return None
+
+
+def state_key(window, part_weight, cost):
+    violation = window.violation(part_weight[0])
+    if violation <= 1e-9:
+        return (0, float(cost), 0)
+    return (1, violation, cost)
+
+
+def reference_fm_pass(h, assignment, window, mode, early_exit_window):
+    """One pass on copies; returns ``(assignment, part_weight, delta)``
+    plus the moves made in order and whether the early exit stopped the
+    pass while an admissible move was left."""
+    assignment = list(assignment)
+    part_weight = [0, 0]
+    for v, part in enumerate(assignment):
+        part_weight[part] += h.vertex_weight[v]
+
+    def cut_pins():
+        return {u for pins in h.pins_by_hyperedge
+                if len({assignment[v] for v in pins}) > 1 for u in pins}
+
+    eligible = cut_pins() if mode == "bfm" else set(range(h.num_vertices))
+    locked = set()
+    initial = cost = naive_cost(h, assignment)
+    best_key = state_key(window, part_weight, cost)
+    best_cost = cost
+    history = []
+    best_index = 0
+    stall = 0
+    exited_early = False
+    while True:
+        v = reference_select(h, window, assignment, part_weight, eligible - locked)
+        if v is None:
+            break
+        a = assignment[v]
+        assignment[v] = 1 - a
+        part_weight[a] -= h.vertex_weight[v]
+        part_weight[1 - a] += h.vertex_weight[v]
+        locked.add(v)
+        history.append(v)
+        if mode == "bfm":
+            # A hyperedge that the move puts into the cut makes its pins
+            # eligible; pins of hyperedges already cut are eligible already.
+            eligible |= cut_pins()
+        cost = naive_cost(h, assignment)
+        key = state_key(window, part_weight, cost)
+        if key < best_key:
+            best_key, best_cost, best_index, stall = key, cost, len(history), 0
+        else:
+            stall += 1
+            if mode == "fm-ee" and stall >= early_exit_window:
+                exited_early = reference_select(
+                    h, window, assignment, part_weight, eligible - locked) is not None
+                break
+    for v in reversed(history[best_index:]):
+        b = assignment[v]
+        assignment[v] = 1 - b
+        part_weight[b] -= h.vertex_weight[v]
+        part_weight[1 - b] += h.vertex_weight[v]
+    return assignment, part_weight, best_cost - initial, history, exited_early
+
+
+def reference_refine(h, assignment, window, mode, early_exit_window, max_passes):
+    total = 0
+    for _ in range(max_passes):
+        before = window.violation(sum(h.vertex_weight[v] for v, part in
+                                      enumerate(assignment) if part == 0))
+        assignment, part_weight, delta, _, _ = reference_fm_pass(
+            h, assignment, window, mode, early_exit_window)
+        total += delta
+        if delta == 0 and window.violation(part_weight[0]) == before:
+            break
+    return assignment, part_weight, total
+
+
+class FmAuditError(RuntimeError):
+    """An FM pass's incremental state disagrees with a from-scratch recount."""
+
+
+def audit_fm_state(state) -> None:
+    """Check the incremental state of an FM pass (a
+    ``hypart.refine._FmState`` or its dense subclass) against
+    :func:`reference_recount` and check the bucket and gain-list
+    invariants; raise :class:`FmAuditError` on any disagreement.
+
+    A dense state keeps its part-0 pin counts bit-sliced, so they are
+    read off ``state.planes[0]``.
+    """
+    h = state.h
+    assignment = state.p.assignment
+    count0, fresh, cost = reference_recount(h, assignment)
+    planes = getattr(state, "planes", None)
+    if planes is None:
+        tracked = state.count0
+    else:
+        tracked = [sum((plane >> e & 1) << j for j, plane in enumerate(planes[0]))
+                   for e in range(h.num_hyperedges)]
+    if tracked != count0:
+        raise FmAuditError("incremental pin count drift")
+    if cost != state.cost:
+        raise FmAuditError(f"incremental cost drift: {state.cost} != {cost}")
+    if state.violation != state.window.violation(state.p.part_weight[0]):
+        raise FmAuditError("stale balance violation")
+    states = state.state
+    # Gains of locked vertices are not maintained; check the rest.
+    for u in range(h.num_vertices):
+        if states[u] is not None and state.gains[u] != fresh[u]:
+            raise FmAuditError(f"incremental gain drift at vertex {u}")
+    seen = set()
+    for s in (0, 1):
+        if state.keys[s] != sorted(state.buckets[s]):
+            raise FmAuditError(f"gain list of side {s} disagrees with its buckets")
+        for gain, bucket in state.buckets[s].items():
+            if not bucket:
+                raise FmAuditError(f"empty bucket for gain {gain} on side {s}")
+            for u in bucket:
+                if (u in seen or states[u] is not True
+                        or assignment[u] != s or state.gains[u] != gain):
+                    raise FmAuditError(f"vertex {u} sits in the wrong bucket")
+                seen.add(u)
+    if len(seen) != states.count(True):
+        raise FmAuditError("bucket membership disagrees with the vertex states")
+    # The invariant: every unlocked pin of a cut net (in fm-ee, every
+    # unlocked vertex) is in a bucket.
+    if state.boundary_only:
+        eligible = {u for e, pins in enumerate(h.pins_by_hyperedge)
+                    if 0 < count0[e] < len(pins) for u in pins}
+    else:
+        eligible = range(h.num_vertices)
+    for u in eligible:
+        if states[u] is False:
+            raise FmAuditError(f"eligible vertex {u} is missing from the buckets")
+
+
+def audit_before(select):
+    """``select`` wrapped to run :func:`audit_fm_state` on the state
+    first. Patched over ``hypart.refine._FmState.select``, it audits every
+    FM pass before each move selection and once more before the last,
+    empty one: at every point where the pass reads its state."""
+    def audited(state):
+        audit_fm_state(state)
+        return select(state)
+    return audited
 
 
 class OracleResult(NamedTuple):

@@ -9,11 +9,11 @@ from hypart import (Hypergraph, Matching, Partition, build_edge_partitions,
                     update_threshold)
 from hypart.roughset import CoreDecomposition
 
-from conftest import (FixedOrderRng, make_path4, naive_cost, random_hypergraph,
+from conftest import (FixedOrderRng, make_path4, random_hypergraph,
                       random_weighted_hypergraph)
-from reference import (cc_oracle_hypergraph, degree, edge_size, reference_cc,
-                       reference_cc_edge, reference_cores,
-                       reference_threshold_seed, weighted_jaccard)
+from reference import (cc_oracle_hypergraph, degree, edge_size, naive_cost,
+                       reference_best_mate, reference_cc, reference_cc_edge,
+                       reference_cores, reference_threshold_seed, weighted_jaccard)
 
 
 class TestWeightedJaccard:
@@ -157,28 +157,19 @@ class TestMatchNoncore:
 def reference_matching(h, cores, rng, min_ratio=1.5):
     """Scalar reference for ``match_in_cores`` followed by ``match_noncore``.
 
-    A vertex's best mate is the free vertex with the highest
-    ``weighted_jaccard`` above zero, ties going to the lowest id; inside
-    a core a vertex with no such mate takes the lowest free member. The
-    random draws are the same as the fast path's, in the same order.
+    A vertex's best mate is ``reference_best_mate``; inside a core a
+    vertex with no such mate takes the lowest free member. The random
+    draws are the same as the fast path's, in the same order.
     """
     n = h.num_vertices
     mate = [None] * n
-
-    def best_mate(u, free):
-        best, best_j = None, 0.0
-        for x in sorted(free):
-            j = weighted_jaccard(h, u, x)
-            if j > best_j:
-                best, best_j = x, j
-        return best
 
     leftovers = []
     for core in cores.cores:
         unmatched = sorted(core)
         while len(unmatched) >= 2:
             u = unmatched.pop(rng.randrange(len(unmatched)))
-            v = best_mate(u, unmatched)
+            v = reference_best_mate(h, u, unmatched)
             if v is None:
                 v = min(unmatched)
             mate[u], mate[v] = v, u
@@ -194,7 +185,7 @@ def reference_matching(h, cores, rng, min_ratio=1.5):
     for u in order:
         if mate[u] is not None:
             continue
-        v = best_mate(u, [x for x in range(n) if x != u and mate[x] is None])
+        v = reference_best_mate(h, u, [x for x in range(n) if mate[x] is None])
         if v is None:
             continue
         mate[u], mate[v] = v, u

@@ -12,8 +12,8 @@ from hypart import (BalanceWindow, Hypergraph, InfeasibleBalanceError,
 from hypart.driver import std_dev_percent
 from hypart.model import part_interval
 
-from conftest import make_path4, naive_cost, random_hypergraph
-from reference import brute_force_bipartition
+from conftest import make_path4, random_hypergraph
+from reference import brute_force_bipartition, naive_cost
 from test_golden import banded_hypergraph
 
 

@@ -1,9 +1,9 @@
 """Differential tests of the FM engine against a scalar reference FM.
 
-The reference below recounts gains and cost from scratch before every
-move and selects moves the plain way: it walks the distinct gains in
-descending order and, per gain and side, scans for the lowest-id
-admissible vertex. The engine in ``hypart.refine`` keeps incremental
+The reference, ``reference_fm_pass`` of ``tests/reference.py``,
+recounts gains and cost from scratch before every move and selects
+moves the plain way: it walks the distinct gains in descending order
+and, per gain and side, scans for the lowest-id admissible vertex. The engine in ``hypart.refine`` keeps incremental
 gains, per-side buckets and an ascending list of each side's bucket
 gains, and compares each vertex weight against one integer limit per
 side, which rejects a blocked side at once; it must make exactly the
@@ -21,6 +21,10 @@ moved vertex's critical hyperedges, or, on a dense level, by recounting
 neighbour gains from bit-parallel tables. The differential tests run
 once per way, with the density predicate ``hypart.model.is_dense``
 forced to pick it.
+
+The audited passes check the engine's incremental state before every
+move selection with ``audit_fm_state``, which recounts with the scalar
+``reference_recount`` rather than with the engine's own ``_recount``.
 """
 
 import random
@@ -31,57 +35,12 @@ from hypart import (BalanceWindow, Hypergraph, InfeasibleBalanceError, Partition
                     fm_pass, partition_cost, refine_bipartition)
 from hypart import model, refine
 from hypart.dense import _DenseFmState
-from hypart.refine import FmAuditError, _FmState, _recount
+from hypart.refine import _FmState, _recount
 
-from conftest import naive_cost, random_weighted_hypergraph
-
-
-def reference_gains(h, assignment):
-    gains = [0] * h.num_vertices
-    for e, pins in enumerate(h.pins_by_hyperedge):
-        w = h.hyperedge_weight[e]
-        for v in pins:
-            own = sum(1 for u in pins if assignment[u] == assignment[v])
-            other = len(pins) - own
-            gains[v] += w * ((1 if other > 0 else 0) - (1 if own > 1 else 0))
-    return gains
-
-
-def reference_recount(h, assignment):
-    """Pin counts, gains and cost pin by pin, as ``_recount`` defines them."""
-    count0 = []
-    gains = [0] * h.num_vertices
-    cost = 0
-    for pins, w in zip(h.pins_by_hyperedge, h.hyperedge_weight):
-        sides = [assignment[v] for v in pins]
-        c1 = sum(sides)
-        c0 = len(pins) - c1
-        count0.append(c0)
-        g0 = w * ((c1 > 0) - (c0 > 1))
-        g1 = w * ((c0 > 0) - (c1 > 1))
-        if c0 and c1:
-            cost += w
-            for v, s in zip(pins, sides):
-                gains[v] += g1 if s else g0
-        else:
-            g = g1 if c1 else g0
-            for v in pins:
-                gains[v] += g
-    return count0, gains, cost
-
-
-def reference_admissible(h, window, assignment, part_weight, v):
-    a = assignment[v]
-    if sum(1 for part in assignment if part == a) <= 1:
-        return False
-    wmax = max(h.vertex_weight)
-    lo_soft = min(window.lower, window.target - wmax)
-    hi_soft = max(window.upper, window.target + wmax)
-    w0 = part_weight[0]
-    w0_after = w0 - h.vertex_weight[v] if a == 0 else w0 + h.vertex_weight[v]
-    if lo_soft - 1e-9 <= w0_after <= hi_soft + 1e-9:
-        return True
-    return window.violation(w0_after) < window.violation(w0) - 1e-12
+from conftest import random_weighted_hypergraph
+from reference import (FmAuditError, audit_before, audit_fm_state, naive_cost,
+                       reference_admissible, reference_fm_pass, reference_gains,
+                       reference_recount, reference_refine)
 
 
 def weight_admissible(h, window, part_weight, side, weight):
@@ -99,106 +58,6 @@ def weight_admissible(h, window, part_weight, side, weight):
     if lo_soft <= w0_after <= hi_soft:
         return True
     return window.violation(w0_after) < window.violation(w0)
-
-
-def reference_select(h, window, assignment, part_weight, candidates):
-    gains = reference_gains(h, assignment)
-    total = h.total_vertex_weight
-    deficits = (window.target - part_weight[0],
-                (total - window.target) - part_weight[1])
-    for gain in sorted({gains[v] for v in candidates}, reverse=True):
-        best = [None, None]
-        for side in (0, 1):
-            for v in sorted(candidates):
-                if (gains[v] == gain and assignment[v] == side
-                        and reference_admissible(h, window, assignment, part_weight, v)):
-                    best[side] = v
-                    break
-        cand0, cand1 = best
-        if cand0 is None and cand1 is None:
-            continue
-        if cand1 is None:
-            return cand0
-        if cand0 is None:
-            return cand1
-        key0 = (0 if deficits[1] >= deficits[0] else 1, cand0)
-        key1 = (0 if deficits[0] >= deficits[1] else 1, cand1)
-        return cand0 if key0 <= key1 else cand1
-    return None
-
-
-def state_key(window, part_weight, cost):
-    violation = window.violation(part_weight[0])
-    if violation <= 1e-9:
-        return (0, float(cost), 0)
-    return (1, violation, cost)
-
-
-def reference_fm_pass(h, assignment, window, mode, early_exit_window):
-    """One pass on copies; returns ``(assignment, part_weight, delta)``
-    plus the moves made in order and whether the early exit stopped the
-    pass while an admissible move was left."""
-    assignment = list(assignment)
-    part_weight = [0, 0]
-    for v, part in enumerate(assignment):
-        part_weight[part] += h.vertex_weight[v]
-
-    def cut_pins():
-        return {u for pins in h.pins_by_hyperedge
-                if len({assignment[v] for v in pins}) > 1 for u in pins}
-
-    eligible = cut_pins() if mode == "bfm" else set(range(h.num_vertices))
-    locked = set()
-    initial = cost = naive_cost(h, assignment)
-    best_key = state_key(window, part_weight, cost)
-    best_cost = cost
-    history = []
-    best_index = 0
-    stall = 0
-    exited_early = False
-    while True:
-        v = reference_select(h, window, assignment, part_weight, eligible - locked)
-        if v is None:
-            break
-        a = assignment[v]
-        assignment[v] = 1 - a
-        part_weight[a] -= h.vertex_weight[v]
-        part_weight[1 - a] += h.vertex_weight[v]
-        locked.add(v)
-        history.append(v)
-        if mode == "bfm":
-            # A hyperedge that the move puts into the cut makes its pins
-            # eligible; pins of hyperedges already cut are eligible already.
-            eligible |= cut_pins()
-        cost = naive_cost(h, assignment)
-        key = state_key(window, part_weight, cost)
-        if key < best_key:
-            best_key, best_cost, best_index, stall = key, cost, len(history), 0
-        else:
-            stall += 1
-            if mode == "fm-ee" and stall >= early_exit_window:
-                exited_early = reference_select(
-                    h, window, assignment, part_weight, eligible - locked) is not None
-                break
-    for v in reversed(history[best_index:]):
-        b = assignment[v]
-        assignment[v] = 1 - b
-        part_weight[b] -= h.vertex_weight[v]
-        part_weight[1 - b] += h.vertex_weight[v]
-    return assignment, part_weight, best_cost - initial, history, exited_early
-
-
-def reference_refine(h, assignment, window, mode, early_exit_window, max_passes):
-    total = 0
-    for _ in range(max_passes):
-        before = window.violation(sum(h.vertex_weight[v] for v, part in
-                                      enumerate(assignment) if part == 0))
-        assignment, part_weight, delta, _, _ = reference_fm_pass(
-            h, assignment, window, mode, early_exit_window)
-        total += delta
-        if delta == 0 and window.violation(part_weight[0]) == before:
-            break
-    return assignment, part_weight, total
 
 
 def weighted_hypergraph(rng):
@@ -283,7 +142,9 @@ class TestDifferentialFm:
 
     def test_audited_pass_matches_reference(self, monkeypatch):
         # Both gain updates run inside the shared _FmState.apply_move,
-        # so the moves are recorded there.
+        # so the moves are recorded there; both states select through
+        # _FmState.select, which is audited.
+        monkeypatch.setattr(_FmState, "select", audit_before(_FmState.select))
         moves = []
         apply_move = _FmState.apply_move
 
@@ -299,7 +160,7 @@ class TestDifferentialFm:
                 h, start, window, mode, exit_window)
             p = Partition.from_assignment(h, 2, start)
             moves.clear()
-            cost, delta = fm_pass(h, p, mode, window=window, audit=True)
+            cost, delta = fm_pass(h, p, mode, window=window)
             assert [p.assignment, p.part_weight, delta] == expected
             assert cost == partition_cost(h, p)
             assert moves == expected_moves
@@ -343,8 +204,8 @@ class TestSelectionCases:
 
 class TestRecount:
     def test_matches_scalar_recount(self):
-        # The audit compares the incremental state with _recount, so
-        # _recount itself is checked against the scalar loop here.
+        # Every FM state starts from _recount's counts, so _recount
+        # itself is checked against the scalar loop here.
         rng = random.Random(505)
         for trial in range(400):
             if trial % 2:
@@ -404,117 +265,145 @@ class TestAdmissibility:
 
 
 class TestAudit:
-    def fresh_state(self):
-        h = Hypergraph(6, [[0, 1, 2], [2, 3], [3, 4, 5], [0, 5]],
-                       vertex_weight=[1, 2, 1, 3, 1, 2])
-        p = Partition.from_assignment(h, 2, [0, 0, 0, 1, 1, 1])
-        state = _FmState(h, p, BalanceWindow.symmetric(h.total_vertex_weight, 0.2),
-                         boundary_only=False)
-        state.audit()
-        return state
+    """Each corruption of a fresh state must raise from
+    ``audit_fm_state`` with its message; the corruptions that apply to
+    both FM states are made to each."""
 
-    def dense_state(self, monkeypatch):
-        # The same hypergraph with hyperedge weights of two bits.
-        monkeypatch.setattr(model, "is_dense", lambda h: True)
+    def make_state(self, monkeypatch, dense, boundary_only=False):
+        # Hyperedge weights of two bits give the dense state two weight
+        # planes.
+        monkeypatch.setattr(model, "is_dense", lambda h: dense)
         h = Hypergraph(6, [[0, 1, 2], [2, 3], [3, 4, 5], [0, 5]],
                        vertex_weight=[1, 2, 1, 3, 1, 2], hyperedge_weight=[1, 3, 2, 1])
         p = Partition.from_assignment(h, 2, [0, 0, 0, 1, 1, 1])
-        state = _DenseFmState(h, p, BalanceWindow.symmetric(h.total_vertex_weight, 0.2),
-                              boundary_only=False)
-        state.audit()
-        # Side 1 holds 0, 1, 3 and 1 pins of the four hyperedges.
-        assert state.planes[1] == [0b1110, 0b0100]
+        kind = _DenseFmState if dense else _FmState
+        state = kind(h, p, BalanceWindow.symmetric(h.total_vertex_weight, 0.2),
+                     boundary_only=boundary_only)
+        audit_fm_state(state)
+        if dense:
+            # Side 1 holds 0, 1, 3 and 1 pins of the four hyperedges.
+            assert state.planes[1] == [0b1110, 0b0100]
         return state
 
+    def states(self, monkeypatch):
+        """A fresh fm-ee state of each kind: walking, then dense."""
+        for dense in (False, True):
+            yield self.make_state(monkeypatch, dense)
+
+    def test_detects_count_drift(self, monkeypatch):
+        state = self.make_state(monkeypatch, dense=False)
+        state.count0[2] ^= 1
+        with pytest.raises(FmAuditError, match="incremental pin count drift"):
+            audit_fm_state(state)
+
     def test_detects_dense_count_drift(self, monkeypatch):
-        state = self.dense_state(monkeypatch)
+        state = self.make_state(monkeypatch, dense=True)
         state.planes[0][0] ^= 1 << 2
-        with pytest.raises(FmAuditError, match="pin count"):
-            state.audit()
+        with pytest.raises(FmAuditError, match="incremental pin count drift"):
+            audit_fm_state(state)
+
+    def check_cost_drift(self, state):
+        state.apply_move(2)
+        audit_fm_state(state)
+        state.cost += 1
+        with pytest.raises(FmAuditError, match="incremental cost drift: 3 != 2"):
+            audit_fm_state(state)
+
+    def test_detects_cost_drift(self, monkeypatch):
+        self.check_cost_drift(self.make_state(monkeypatch, dense=False))
 
     def test_detects_dense_cost_drift(self, monkeypatch):
-        state = self.dense_state(monkeypatch)
-        state.apply_move(2)
-        state.audit()
-        state.cost += 1
-        with pytest.raises(FmAuditError, match="cost"):
-            state.audit()
+        self.check_cost_drift(self.make_state(monkeypatch, dense=True))
 
-    def test_detects_gain_drift(self):
-        state = self.fresh_state()
-        state.gains[4] += 1
-        with pytest.raises(FmAuditError):
-            state.audit()
+    def test_detects_gain_drift(self, monkeypatch):
+        for state in self.states(monkeypatch):
+            state.gains[4] += 1
+            with pytest.raises(FmAuditError, match="gain drift at vertex 4"):
+                audit_fm_state(state)
 
-    def test_detects_misplaced_vertex(self):
-        state = self.fresh_state()
-        gain = state.gains[1]
-        state.buckets[0][gain].discard(1)
-        state.buckets[1].setdefault(gain, set()).add(1)
-        with pytest.raises(FmAuditError):
-            state.audit()
+    def test_detects_misplaced_vertex(self, monkeypatch):
+        # Vertex 1 is alone in its bucket, which the move leaves empty.
+        for state in self.states(monkeypatch):
+            gain = state.gains[1]
+            state.buckets[0][gain].discard(1)
+            state.buckets[1].setdefault(gain, set()).add(1)
+            with pytest.raises(FmAuditError, match=f"empty bucket for gain {gain} on side 0"):
+                audit_fm_state(state)
 
-    def test_detects_empty_bucket(self):
-        state = self.fresh_state()
-        state.buckets[0][10**6] = set()
-        with pytest.raises(FmAuditError):
-            state.audit()
+    def test_detects_empty_bucket(self, monkeypatch):
+        for state in self.states(monkeypatch):
+            state.buckets[0][10**6] = set()
+            with pytest.raises(FmAuditError, match="gain list of side 0"):
+                audit_fm_state(state)
 
-    def test_detects_listed_empty_bucket(self):
-        state = self.fresh_state()
-        state.buckets[0][10**6] = set()
-        state.keys[0].append(10**6)
-        with pytest.raises(FmAuditError, match="empty bucket"):
-            state.audit()
+    def test_detects_listed_empty_bucket(self, monkeypatch):
+        for state in self.states(monkeypatch):
+            state.buckets[0][10**6] = set()
+            state.keys[0].append(10**6)
+            with pytest.raises(FmAuditError, match="empty bucket"):
+                audit_fm_state(state)
 
-    def test_detects_gain_missing_from_list(self):
-        state = self.fresh_state()
-        assert state.keys[1]
-        state.keys[1].pop()
-        with pytest.raises(FmAuditError, match="gain list"):
-            state.audit()
+    def test_detects_gain_missing_from_list(self, monkeypatch):
+        for state in self.states(monkeypatch):
+            assert state.keys[1]
+            state.keys[1].pop()
+            with pytest.raises(FmAuditError, match="gain list"):
+                audit_fm_state(state)
 
-    def test_detects_stale_gain_in_list(self):
+    def test_detects_stale_gain_in_list(self, monkeypatch):
         # A gain whose bucket is gone; the list must not keep it.
-        state = self.fresh_state()
-        stale = max(state.keys[0]) + 1
-        state.keys[0].append(stale)
-        assert stale not in state.buckets[0]
-        with pytest.raises(FmAuditError, match="gain list"):
-            state.audit()
+        for state in self.states(monkeypatch):
+            stale = max(state.keys[0]) + 1
+            state.keys[0].append(stale)
+            assert stale not in state.buckets[0]
+            with pytest.raises(FmAuditError, match="gain list"):
+                audit_fm_state(state)
 
-    def test_detects_missing_eligible_vertex(self):
-        state = self.fresh_state()
-        gain = state.gains[2]
-        state.buckets[0][gain].discard(2)
+    def unbucket(self, state, u):
+        """Take ``u`` out of the buckets without locking it."""
+        gain = state.gains[u]
+        state.buckets[0][gain].discard(u)
         if not state.buckets[0][gain]:
             del state.buckets[0][gain]
-        state.state[2] = False
-        with pytest.raises(FmAuditError, match="missing from the buckets"):
-            state.audit()
+            state.keys[0].remove(gain)
+        state.state[u] = False
+
+    def test_detects_missing_eligible_vertex(self, monkeypatch):
+        for state in self.states(monkeypatch):
+            self.unbucket(state, 2)
+            with pytest.raises(FmAuditError, match="missing from the buckets"):
+                audit_fm_state(state)
 
     def test_detects_missing_eligible_vertex_dense(self, monkeypatch):
         # A bfm state: only the pins of cut hyperedges start in the
         # buckets, and vertex 2 is a pin of the cut hyperedge [2, 3].
-        monkeypatch.setattr(model, "is_dense", lambda h: True)
-        h = Hypergraph(6, [[0, 1, 2], [2, 3], [3, 4, 5], [0, 5]],
-                       vertex_weight=[1, 2, 1, 3, 1, 2], hyperedge_weight=[1, 3, 2, 1])
-        p = Partition.from_assignment(h, 2, [0, 0, 0, 1, 1, 1])
-        state = _DenseFmState(h, p, BalanceWindow.symmetric(h.total_vertex_weight, 0.2),
-                              boundary_only=True)
-        state.audit()
+        state = self.make_state(monkeypatch, dense=True, boundary_only=True)
         assert state.state == [True, False, True, True, False, True]
-        gain = state.gains[2]
-        state.buckets[0][gain].discard(2)
-        if not state.buckets[0][gain]:
-            del state.buckets[0][gain]
-            state.keys[0].remove(gain)
-        state.state[2] = False
+        self.unbucket(state, 2)
         with pytest.raises(FmAuditError, match="missing from the buckets"):
-            state.audit()
+            audit_fm_state(state)
 
-    def test_detects_stale_violation(self):
-        state = self.fresh_state()
-        state.violation += 1.0
-        with pytest.raises(FmAuditError):
-            state.audit()
+    def test_detects_stale_violation(self, monkeypatch):
+        for state in self.states(monkeypatch):
+            state.violation += 1.0
+            with pytest.raises(FmAuditError, match="stale balance violation"):
+                audit_fm_state(state)
+
+    def test_independent_of_recount(self, monkeypatch):
+        # The walking state takes its starting counts from _recount. With
+        # _recount overstating every cut by one, an audit that recounted
+        # with _recount would agree with the state; the scalar recount
+        # does not.
+        monkeypatch.setattr(model, "is_dense", lambda h: False)
+        recount = refine._recount
+
+        def overstated(h, assignment):
+            count0, gains, cost = recount(h, assignment)
+            return count0, gains, cost + 1
+
+        monkeypatch.setattr(refine, "_recount", overstated)
+        monkeypatch.setattr(_FmState, "select", audit_before(_FmState.select))
+        h = Hypergraph(6, [[0, 1, 2], [2, 3], [3, 4, 5], [0, 5]])
+        p = Partition.from_assignment(h, 2, [0, 0, 0, 1, 1, 1])
+        with pytest.raises(FmAuditError, match="incremental cost drift: 3 != 2"):
+            fm_pass(h, p, "fm-ee", BalanceWindow.symmetric(h.total_vertex_weight, 0.2))

@@ -11,7 +11,8 @@ than dataclasses (which load ``inspect``) and its run summary uses
 ``fractions``). Every name that ``__all__`` lists must resolve under
 ``from hypart import *``. Each check runs in a fresh interpreter, because
 the test process itself has long imported these modules through other
-suites.
+suites. The fresh interpreter imports the same ``hypart`` as the test
+process, from whichever tree ``PYTHONPATH`` or an install put first.
 """
 
 import json
@@ -23,8 +24,10 @@ from pathlib import Path
 
 import pytest
 
+import hypart
+
 TESTS = Path(__file__).resolve().parent
-SRC = TESTS.parent / "src"
+SRC = Path(hypart.__file__).resolve().parents[1]
 
 
 def run_fresh(code):

@@ -10,9 +10,8 @@ from hypart import (BalanceWindow, Hypergraph, InfeasibleBalanceError, Partition
 from hypart import model
 from hypart.model import dense_tables, is_dense
 
-from conftest import (naive_cost, naive_connectivity, random_hypergraph,
-                      random_weighted_hypergraph)
-from reference import connectivity_degree, edge_size
+from conftest import naive_connectivity, random_hypergraph, random_weighted_hypergraph
+from reference import connectivity_degree, edge_size, naive_cost
 
 
 class TestValidate:

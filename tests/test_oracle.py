@@ -7,8 +7,8 @@ import pytest
 from hypart import (Hypergraph, InfeasibleBalanceError, max_imbalance,
                     partition_cost)
 
-from conftest import naive_cost, random_hypergraph
-from reference import brute_force_bipartition
+from conftest import random_hypergraph
+from reference import brute_force_bipartition, naive_cost
 
 
 class TestBruteForce:

@@ -7,8 +7,10 @@ import pytest
 from hypart import (BalanceWindow, Hypergraph, Matching, Partition,
                     contract, fm_pass, max_imbalance, partition_cost, project,
                     refine_bipartition)
+from hypart.refine import _FmState
 
-from conftest import naive_cost, random_hypergraph, symmetric_window
+from conftest import random_hypergraph, symmetric_window
+from reference import audit_before, naive_cost
 
 
 def balanced_random_partition(h, rng, epsilon):
@@ -80,12 +82,13 @@ class TestFmPass:
             fm_pass(h, p, "fm-ee", window)
             assert window.violation(p.part_weight[0]) == 0.0
 
-    def test_incremental_gains_match_recomputation(self):
+    def test_incremental_gains_match_recomputation(self, monkeypatch):
+        monkeypatch.setattr(_FmState, "select", audit_before(_FmState.select))
         rng = random.Random(23)
         for _ in range(25):
             h = random_hypergraph(rng, min_vertices=5, size_weights=rng.random() < 0.5)
             p = balanced_random_partition(h, rng, 0.4)
-            fm_pass(h, p, "fm-ee", symmetric_window(h, 0.4), audit=True)
+            fm_pass(h, p, "fm-ee", symmetric_window(h, 0.4))
 
     def test_part_weight_consistency_after_pass(self):
         rng = random.Random(29)
@@ -122,7 +125,7 @@ class TestFmPass:
                                max_passes=max_passes)
         assert p.assignment == [0, 1, 0, 1]
 
-    def test_unit_weights_reach_any_window_in_one_ee_pass(self):
+    def test_unit_weights_reach_any_window_in_one_ee_pass(self, monkeypatch):
         # With unit vertex weights, while part 0 weighs more than
         # ``upper`` only moves off side 0 are admissible, and each lowers
         # the violation by exactly one, so every move is a new best state
@@ -131,6 +134,9 @@ class TestFmPass:
         # integer window that leaves both sides a vertex, whatever the
         # start. The driver relies on this: when the finest level ends
         # outside its window it raises rather than repairs.
+        # Every fifth pass is audited before each move selection.
+        select = _FmState.select
+        audited = audit_before(select)
         rng = random.Random(41)
         for case in range(1000):
             h = random_hypergraph(rng, min_vertices=2, max_vertices=40,
@@ -152,7 +158,8 @@ class TestFmPass:
             upper = rng.randint(lower, n - 1)
             window = BalanceWindow(float(lower), float(upper),
                                    rng.uniform(lower, upper))
-            fm_pass(h, p, "fm-ee", window, audit=case % 5 == 0)
+            monkeypatch.setattr(_FmState, "select", audited if case % 5 == 0 else select)
+            fm_pass(h, p, "fm-ee", window)
             assert lower <= p.part_weight[0] <= upper, (case, lower, upper)
             assert p.part_weight == Partition.from_assignment(h, 2, p.assignment).part_weight
 

@@ -12,8 +12,8 @@ from hypart.coarsen import THRESHOLD_CLAMP
 from conftest import (SAMPLE16_CLUSTERS, SAMPLE16_CORES, SAMPLE16_NON_CORE,
                       SAMPLE16_SINGLETONS, random_hypergraph,
                       random_weighted_hypergraph)
-from reference import (degree, hyperedge_similarity, info_value, reduced_value,
-                       reference_cores)
+from reference import (degree, hyperedge_similarity, info_value, numbered_reference,
+                       reduced_value, reference_clusters, reference_cores)
 
 
 class TestInfoValue:
@@ -229,27 +229,6 @@ class TestExtractCores:
             reference_cores(sample16, ep, -0.5)
 
 
-def reference_clusters(h, s):
-    """Connected components of the graph joining every pair of
-    hyperedges whose ``hyperedge_similarity`` reaches ``s``."""
-    parent = list(range(h.num_hyperedges))
-
-    def find(e):
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        return e
-
-    for ei in range(h.num_hyperedges):
-        for ej in range(ei + 1, h.num_hyperedges):
-            if hyperedge_similarity(h, ei, ej) >= s:
-                parent[find(ei)] = find(ej)
-    groups = {}
-    for e in range(h.num_hyperedges):
-        groups.setdefault(find(e), set()).add(e)
-    return {frozenset(g) for g in groups.values()}
-
-
 def reference_signature(h, ep, v, c, drop_unit_clusters):
     """Clusters that ``v`` touches with a share of its degree of at least ``c``."""
     deg = degree(h, v)
@@ -305,16 +284,6 @@ def equal_weight_hypergraph(rng, smin, smax):
     rng.shuffle(pins)
     weight = rng.choice((1, 3))
     return Hypergraph(n, pins, hyperedge_weight=[weight] * len(pins))
-
-
-def numbered_reference(h, s):
-    """``reference_clusters`` as the walk numbers them: by smallest member."""
-    clusters = sorted(sorted(c) for c in reference_clusters(h, s))
-    cluster_of = [0] * h.num_hyperedges
-    for c_id, members in enumerate(clusters):
-        for e in members:
-            cluster_of[e] = c_id
-    return cluster_of, clusters
 
 
 def count_calls(monkeypatch, name):
